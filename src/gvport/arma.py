@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Margin on root moduli: |root| >= 1 + ROOT_MARGIN counts as admissible.
+# Margin on the step-down partial autocorrelations: a polynomial counts as
+# admissible when every partial lies in (-1 + PACF_MARGIN, 1 - PACF_MARGIN).
 # Boundary-hugging polynomials degrade burn-in and the CSS recursion.
-ROOT_MARGIN = 1e-8
+PACF_MARGIN = 1e-8
 
 
 class NotAdmissibleError(ValueError):
@@ -68,7 +69,9 @@ def poly_root_moduli(coeffs) -> np.ndarray:
     """Moduli of the roots of 1 - c1 z - ... - ck z^k.
 
     Degree 1 and 2 use closed forms; higher degrees use companion-matrix
-    eigenvalues (trailing zero coefficients are trimmed first).
+    eigenvalues (trailing zero coefficients are trimmed first).  Used only
+    where a decay rate is needed (burn-in length, series truncation);
+    admissibility is decided by is_admissible_poly.
     """
     c = _as_coeff_array(coeffs)
     # trailing zeros lower the effective degree
@@ -101,12 +104,52 @@ def poly_root_moduli(coeffs) -> np.ndarray:
         return np.where(w > 0.0, 1.0 / w, np.inf)
 
 
-def is_admissible_poly(coeffs, margin: float = ROOT_MARGIN) -> bool:
-    """True iff all roots of 1 - c1 z - ... - ck z^k have modulus >= 1 + margin."""
-    moduli = poly_root_moduli(coeffs)
-    if moduli.size == 0:
-        return True
-    return bool(np.min(moduli) >= 1.0 + margin)
+def pacf_to_coeffs(pacf) -> np.ndarray:
+    """Levinson step-up: partial autocorrelations in (-1,1) to coefficients.
+
+    The result is always an admissible polynomial vector (all roots outside
+    the unit circle).
+    """
+    pacf = np.asarray(pacf, dtype=float)
+    k = pacf.size
+    a = np.zeros(k)
+    for j in range(k):
+        pj = pacf[j]
+        if j:
+            a[:j] = a[:j] - pj * a[j - 1 :: -1]
+        a[j] = pj
+    return a
+
+
+def coeffs_to_pacf(coeffs) -> np.ndarray:
+    """Inverse of pacf_to_coeffs (Levinson step-down, the Schur-Cohn test).
+
+    Requires an admissible coefficient vector; raises ValueError when a
+    step-down stage leaves (-1, 1).
+    """
+    a = np.asarray(coeffs, dtype=float).ravel().tolist()
+    pacf = a[:]
+    for j in range(len(a) - 1, -1, -1):
+        pj = a[j]
+        if not -1.0 < pj < 1.0:
+            raise ValueError(f"coefficient vector is not admissible (stage {j + 1})")
+        pacf[j] = pj
+        scale = 1.0 - pj * pj
+        a = [(c + pj * d) / scale for c, d in zip(a[:j], a[j - 1 :: -1])]
+    return np.array(pacf)
+
+
+def is_admissible_poly(coeffs, margin: float = PACF_MARGIN) -> bool:
+    """True iff every step-down partial of 1 - c1 z - ... - ck z^k has |partial| < 1 - margin.
+
+    All partials inside (-1, 1) is equivalent to all roots outside the unit
+    circle, so this decides admissibility exactly, without root finding.
+    """
+    try:
+        pacf = coeffs_to_pacf(_as_coeff_array(coeffs))
+    except ValueError:
+        return False
+    return all(abs(pj) < 1.0 - margin for pj in pacf.tolist())
 
 
 def check_admissible(spec: ArmaSpec) -> bool:

@@ -27,7 +27,7 @@ from .asymptotic import (
     imhof_quantile,
     lambda_spectrum,
 )
-from .diagnostics import ResidualAcf, d_hat, ljung_box, residual_acf
+from .diagnostics import d_hat, ljung_box, residual_acf
 from .mc import mc_portmanteau_grid
 from .series_io import SeriesParseError, read_series
 from .studies import StudyConfigError, load_study_config, run_study
@@ -95,6 +95,9 @@ def _auto_threads(requested: int) -> int:
         return requested
     import os
 
+    # the CPUs this process may run on, where the platform reports them
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -133,7 +136,7 @@ def cmd_test(args) -> int:
 
     results = []
     for m in m_list:
-        acf = acf_full if m == acf_full.m else ResidualAcf(acf_full.r[:m], n, m)
+        acf = acf_full.prefix(m)
         row = {"m": m}
 
         lb_stat, _ = ljung_box(acf, fit_count, pvalue=False)

@@ -5,7 +5,8 @@ generalized-variance statistic n(1 - |R_m|^{1/m}) built on the determinant
 of the (m+1) x (m+1) residual autocorrelation matrix, and its small-sample
 variant built on inflated autocorrelations.  The determinant is computed by
 the Durbin-Levinson recursion, which detects loss of positive definiteness
-for free via the partial autocorrelations.
+for free via the partial autocorrelations.  portmanteau_table computes the
+first three for every lag count m from one pass up to the largest m.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ class ResidualAcf:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if np.any(np.abs(r) > 1.0 + 1e-12):
             raise ValueError("autocorrelations must lie in [-1, 1]")
+
+    def prefix(self, m: int) -> "ResidualAcf":
+        """The lag 1..m autocorrelations of the same series (m <= self.m)."""
+        return self if m == self.m else ResidualAcf(self.r[:m], self.n, m)
 
 
 @dataclass(frozen=True)
@@ -133,28 +138,27 @@ def durbin_levinson_partials(r) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (partials, v) where v[k-1] = prod_{j<=k} (1 - partials[j-1]^2).
     Raises NotPositiveDefiniteError at the first order whose partial leaves
-    (-1, 1), reporting the determinant accumulated so far.
+    (-1, 1), reporting the determinant accumulated so far.  The recursion
+    runs on Python floats: for the short vectors here that is cheaper than
+    one numpy call per order.
     """
-    rho = np.asarray(r, dtype=float)
-    m = rho.size
+    rho = np.asarray(r, dtype=float).tolist()
+    m = len(rho)
     partials = np.zeros(m)
     v = np.zeros(m)
     det_so_far = 1.0
-    phi = np.zeros(m)
+    phi = []  # order-k prediction coefficients
     prev_v = 1.0
-    for k in range(1, m + 1):
-        if k == 1:
-            pk = rho[0]
-        else:
-            pk = (rho[k - 1] - np.dot(phi[: k - 1], rho[k - 2 :: -1])) / prev_v
-        if not np.isfinite(pk) or abs(pk) >= 1.0:
-            raise NotPositiveDefiniteError(lag=k, det_so_far=det_so_far)
-        if k > 1:
-            phi[: k - 1] = phi[: k - 1] - pk * phi[k - 2 :: -1]
-        phi[k - 1] = pk
-        partials[k - 1] = pk
-        prev_v = prev_v * (1.0 - pk * pk)
-        v[k - 1] = prev_v
+    for k in range(m):
+        pk = rho[0] if k == 0 else (
+            rho[k] - sum([c * rj for c, rj in zip(phi, rho[k - 1 :: -1])])) / prev_v
+        if not abs(pk) < 1.0:  # also rejects nan
+            raise NotPositiveDefiniteError(lag=k + 1, det_so_far=det_so_far)
+        phi = [c - pk * d for c, d in zip(phi, phi[::-1])]
+        phi.append(pk)
+        partials[k] = pk
+        prev_v *= 1.0 - pk * pk
+        v[k] = prev_v
         det_so_far *= prev_v
     return partials, v
 
@@ -179,10 +183,8 @@ def d_hat(acf: ResidualAcf, fit_count: int = 0) -> PortmanteauValue:
     The determinant is that of the (m+1)-dimensional residual
     autocorrelation matrix; the exponent is 1/m (not 1/(m+1)).
     """
-    det, _ = toeplitz_corr_det(acf)
-    stat = acf.n * (1.0 - det ** (1.0 / acf.m))
-    # roundoff can leave a tiny negative when det ~ 1
-    return PortmanteauValue(statistic=max(float(stat), 0.0), kind="d_hat", m=acf.m, fit_count=fit_count)
+    stat = portmanteau_table(acf, (acf.m,), ("d_hat",))[0, 0]
+    return PortmanteauValue(statistic=float(stat), kind="d_hat", m=acf.m, fit_count=fit_count)
 
 
 def d_mod(acf: ResidualAcf, fit_count: int = 0):
@@ -219,3 +221,38 @@ def portmanteau_statistic(acf: ResidualAcf, kind: str, fit_count: int = 0) -> Po
     if kind == "box_pierce":
         return box_pierce(acf, fit_count, pvalue=False)[0]
     raise ValueError(f"unsupported statistic kind {kind!r}")
+
+
+def portmanteau_table(acf: ResidualAcf, m_list, kinds) -> np.ndarray:
+    """Every (m, kind) statistic of one residual ACF in one pass up to M = max(m_list).
+
+    Returns an array with one row per entry of m_list and one column per
+    entry of kinds ("d_hat", "ljung_box", "box_pierce").  Ljung-Box and
+    Box-Pierce are cumulative sums of their per-lag terms.  The
+    Durbin-Levinson partials of r(1..m) are a prefix of those of r(1..M),
+    so log det_m = sum_{k<=m} log v_k with v_k = prod_{j<=k} (1 - partial_j^2),
+    and D_m = -n expm1(log det_m / m).  The Durbin-Levinson pass runs only
+    when d_hat is requested; it raises NotPositiveDefiniteError when a
+    partial at any lag <= M leaves (-1, 1).
+    """
+    rows = np.asarray(m_list, dtype=int) - 1
+    M = int(rows.max()) + 1
+    if rows.min() < 0 or M > acf.m:
+        raise ValueError(f"lag counts must lie in 1..{acf.m}, got {tuple(m_list)}")
+    n = acf.n
+    r = acf.r[:M]
+    out = np.empty((rows.size, len(kinds)))
+    for col, kind in enumerate(kinds):
+        if kind == "d_hat":
+            partials, _ = durbin_levinson_partials(r)
+            log_det = np.cumsum(np.cumsum(np.log1p(-partials * partials)))
+            # roundoff can leave a tiny negative when det ~ 1
+            values = np.maximum(-n * np.expm1(log_det / np.arange(1, M + 1)), 0.0)
+        elif kind == "ljung_box":
+            values = n * (n + 2.0) * np.cumsum(r * r / (n - np.arange(1, M + 1)))
+        elif kind == "box_pierce":
+            values = n * np.cumsum(r * r)
+        else:
+            raise ValueError(f"unsupported statistic kind {kind!r}")
+        out[:, col] = values[rows]
+    return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma import ArmaSpec
-from .diagnostics import PortmanteauValue, ResidualAcf, portmanteau_statistic, residual_acf
+from .diagnostics import PortmanteauValue, portmanteau_table, residual_acf
 from .estimation import FitOptions, FittedModel, css_residuals, fit_arma
 from .generators import RngStream, simulate_arma
 
@@ -53,10 +53,6 @@ class McGridResult:
     failed_replicates: int
 
 
-def _acf_prefix(acf: ResidualAcf, m: int) -> ResidualAcf:
-    return acf if m == acf.m else ResidualAcf(acf.r[:m], acf.n, m)
-
-
 def _observed_fit(series, p, q, known_spec, fit_options) -> FittedModel:
     if known_spec is None:
         return fit_arma(series, p, q, fit_options)
@@ -70,7 +66,6 @@ def _replicate_stats(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int,
                      stream: RngStream, known_spec, fit_options,
                      max_attempts: int = 10) -> tuple[np.ndarray, int]:
     """One replicate: simulate, refit, statistics for every (m, kind) pair."""
-    m_max = max(m_list)
     failures = 0
     for attempt in range(max_attempts):
         sub = stream if attempt == 0 else stream.substream(attempt)
@@ -80,15 +75,8 @@ def _replicate_stats(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int,
                 resid = fit_arma(sim, p, q, fit_options).residuals
             else:
                 resid = css_residuals(sim, known_spec)
-            acf = residual_acf(resid, m_max)
-            out = np.empty(len(m_list) * len(kinds))
-            idx = 0
-            for m in m_list:
-                sub_acf = _acf_prefix(acf, m)
-                for kind in kinds:
-                    out[idx] = portmanteau_statistic(sub_acf, kind, p + q).statistic
-                    idx += 1
-            return out, failures
+            acf = residual_acf(resid, max(m_list))
+            return portmanteau_table(acf, m_list, kinds).ravel(), failures
         except ValueError:
             failures += 1
     raise RuntimeError(f"replicate failed {max_attempts} times in a row; "
@@ -161,12 +149,10 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
         parent_key = ()
 
     fitted = _observed_fit(x, p, q, known_spec, fit_options)
-    acf = residual_acf(fitted.residuals, max(m_list))
-    observed = {}
-    for m in m_list:
-        sub_acf = _acf_prefix(acf, m)
-        for kind in kinds:
-            observed[(m, kind)] = portmanteau_statistic(sub_acf, kind, p + q)
+    table = portmanteau_table(residual_acf(fitted.residuals, max(m_list)), m_list, kinds)
+    observed = {(m, kind): PortmanteauValue(statistic=float(table[i, j]), kind=kind, m=m,
+                                            fit_count=p + q)
+                for i, m in enumerate(m_list) for j, kind in enumerate(kinds)}
 
     stats, failures = _run_replicates(fitted.spec, x.size, m_list, kinds, p, q, N,
                                       master_seed, parent_key, known_spec,

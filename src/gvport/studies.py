@@ -40,7 +40,7 @@ from .asymptotic import (
     imhof_quantile,
     lambda_spectrum,
 )
-from .diagnostics import ResidualAcf, d_hat, ljung_box, residual_acf
+from .diagnostics import ljung_box, portmanteau_table, residual_acf
 from .estimation import fit_arma
 from .generators import (
     FractionalNoiseSpec,
@@ -378,9 +378,7 @@ def _convergence_chunk(args):
             try:
                 fitted = fit_arma(x, fit_p, fit_q)
                 acf = residual_acf(fitted.residuals, max(m_list))
-                for c, m in enumerate(m_list):
-                    sub = acf if m == acf.m else ResidualAcf(acf.r[:m], acf.n, m)
-                    out[j, c] = d_hat(sub).statistic
+                out[j] = portmanteau_table(acf, m_list, ("d_hat",))[:, 0]
                 break
             except ValueError:
                 failures += 1
@@ -464,8 +462,7 @@ def _size_power_chunk(args):
         if want_chi2:
             acf = residual_acf(grid.fitted.residuals, max(m_list))
             for m in m_list:
-                sub = acf if m == acf.m else ResidualAcf(acf.r[:m], acf.n, m)
-                out[j, col] = ljung_box(sub, fit_p + fit_q)[1]
+                out[j, col] = ljung_box(acf.prefix(m), fit_p + fit_q)[1]
                 col += 1
         failures += grid.failed_replicates
     return out, failures

@@ -9,11 +9,12 @@ from gvport.arma import (
     NotAdmissibleError,
     arma_psi_weights,
     check_admissible,
+    is_admissible_poly,
+    pacf_to_coeffs,
     poly_root_moduli,
     psi_weights_reciprocal,
     theoretical_acvf,
 )
-from gvport.estimation import pacf_to_coeffs
 
 
 def random_admissible_coeffs(rng, k, scale=0.9):
@@ -54,6 +55,28 @@ class TestAdmissibility:
 
     def test_trailing_zeros_ignored(self):
         assert check_admissible(ArmaSpec(ar=(0.5, 0.0)))
+
+    def test_step_up_output_with_root_pair_near_unit_circle(self):
+        # stationary by construction, yet a root pair sits within 1e-8 of the
+        # unit circle, where companion-matrix roots cannot decide the question
+        pacf = [0.5, -0.5, -0.96875, -0.96875, -0.984375, -0.984375]
+        c = pacf_to_coeffs(pacf)
+        assert float(np.min(poly_root_moduli(c))) < 1.0 + 1e-7
+        assert is_admissible_poly(c)
+        assert check_admissible(ArmaSpec(ar=tuple(c), ma=tuple(c)))
+
+    def test_margin_is_on_the_partials(self):
+        assert is_admissible_poly(pacf_to_coeffs([0.3, 1.0 - 2e-8]))
+        assert not is_admissible_poly(pacf_to_coeffs([0.3, 1.0 - 5e-9]))
+        assert not is_admissible_poly(pacf_to_coeffs([0.3, -0.999]), margin=0.01)
+
+    def test_step_down_matches_root_moduli_away_from_the_boundary(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            c = rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 5)))
+            r = float(np.min(poly_root_moduli(c)))
+            if abs(r - 1.0) > 1e-6:
+                assert is_admissible_poly(c) == (r > 1.0)
 
 
 class TestPsiWeights:

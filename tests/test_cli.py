@@ -221,3 +221,28 @@ class TestCmdStudy:
 
     def test_missing_config_file(self):
         assert main(["study", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+class TestAutoThreads:
+    def test_explicit_count_wins(self):
+        from gvport.cli import _auto_threads
+
+        assert _auto_threads(3) == 3
+
+    def test_auto_follows_cpu_affinity(self, monkeypatch):
+        import os
+
+        from gvport.cli import _auto_threads
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _auto_threads(0) == 1
+
+    def test_auto_without_affinity_uses_cpu_count(self, monkeypatch):
+        import os
+
+        from gvport.cli import _auto_threads
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _auto_threads(0) == 5

@@ -12,6 +12,7 @@ from gvport.diagnostics import (
     d_mod,
     durbin_levinson_partials,
     ljung_box,
+    portmanteau_table,
     residual_acf,
     toeplitz_corr_det,
 )
@@ -223,3 +224,60 @@ class TestScaleInvariance:
             assert ljung_box(acf_c, 0)[0].statistic == q0.statistic
             assert d_hat(acf_c).statistic == d0.statistic
             assert d_mod(acf_c).statistic == dd0.statistic
+
+
+class TestPortmanteauTable:
+    KINDS = ("d_hat", "ljung_box", "box_pierce")
+
+    def test_matches_single_m_statistics(self):
+        # one pass up to M = 50 against one statistic per m; d_hat against a
+        # dense determinant of the (m+1) x (m+1) Toeplitz matrix
+        rng = np.random.default_rng(7)
+        for n in (120, 300):
+            acf = residual_acf(rng.standard_normal(n), 50)
+            m_list = tuple(range(1, 51))
+            table = portmanteau_table(acf, m_list, self.KINDS)
+            assert table.shape == (50, 3)
+            for row, m in enumerate(m_list):
+                sub = acf.prefix(m)
+                want = (n * (1.0 - dense_det_oracle(sub.r) ** (1.0 / m)),
+                        ljung_box(sub, 0, pvalue=False)[0].statistic,
+                        box_pierce(sub, 0, pvalue=False)[0].statistic)
+                np.testing.assert_allclose(table[row], want, rtol=1e-12, atol=0.0)
+                assert d_hat(sub).statistic == table[row, 0]
+
+    def test_row_and_column_order_follow_inputs(self):
+        acf = residual_acf(np.random.default_rng(8).standard_normal(100), 12)
+        full = portmanteau_table(acf, (12, 3, 7), self.KINDS)
+        swapped = portmanteau_table(acf, (7, 12), ("box_pierce", "d_hat"))
+        np.testing.assert_array_equal(swapped, full[[2, 0]][:, [2, 0]])
+
+    def test_not_positive_definite_beyond_smallest_m(self):
+        # the partial at lag 2 leaves (-1, 1): d_hat at m = 1 alone is fine,
+        # but a pass up to m = 3 raises, as one d_hat per m would at m = 3
+        acf = ResidualAcf(np.array([0.9, 0.1, 0.0]), 50, 3)
+        assert portmanteau_table(acf, (1,), ("d_hat",))[0, 0] == pytest.approx(50 * 0.81)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            portmanteau_table(acf, (1, 3), ("d_hat",))
+        assert exc.value.lag == 2
+
+    def test_chi_squared_kinds_skip_durbin_levinson(self):
+        acf = ResidualAcf(np.array([0.9, 0.1, 0.0]), 50, 3)
+        table = portmanteau_table(acf, (1, 3), ("ljung_box", "box_pierce"))
+        assert table[1, 1] == pytest.approx(50 * (0.81 + 0.01))
+
+    def test_rejects_bad_inputs(self):
+        acf = ResidualAcf(np.array([0.1, 0.2]), 50, 2)
+        with pytest.raises(ValueError):
+            portmanteau_table(acf, (3,), ("d_hat",))
+        with pytest.raises(ValueError):
+            portmanteau_table(acf, (0,), ("d_hat",))
+        with pytest.raises(ValueError):
+            portmanteau_table(acf, (2,), ("d_mod",))
+
+    def test_prefix(self):
+        acf = ResidualAcf(np.array([0.1, 0.2, 0.3]), 50, 3)
+        assert acf.prefix(3) is acf
+        sub = acf.prefix(2)
+        assert (sub.n, sub.m) == (50, 2)
+        np.testing.assert_array_equal(sub.r, [0.1, 0.2])

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 
-from gvport.arma import ArmaSpec, check_admissible
+from gvport import estimation
+from gvport.arma import ArmaSpec, NotAdmissibleError, check_admissible
 from gvport.diagnostics import residual_acf
 from gvport.estimation import (
     FitOptions,
@@ -145,3 +148,71 @@ class TestFitArma:
         fit = fit_arma(x, 1, 1, opts)
         assert not fit.converged
         assert check_admissible(fit.spec)
+
+
+def nelder_mead_css(x, p, q):
+    """CSS at the point Nelder-Mead reaches on the tanh-of-partials parameterization.
+
+    The search starts where fit_arma starts: the lag 1..p Yule-Walker
+    partial autocorrelations (clipped to 0.95) for the AR block and zeros for
+    the MA block.  Different starts can end in different local minima.
+    """
+    xc = x - x.mean()
+
+    def css(z):
+        g = np.clip(np.tanh(z), -0.99999, 0.99999)
+        a = lfilter(np.r_[1.0, -pacf_to_coeffs(g[:p])], np.r_[1.0, -pacf_to_coeffs(g[p:])], xc)
+        value = float(np.dot(a, a))
+        return value if np.isfinite(value) else 1e300
+
+    r = np.array([np.dot(xc[k:], xc[: xc.size - k]) for k in range(p + 1)]) / np.dot(xc, xc)
+    yw = [np.linalg.solve(np.array([[r[abs(i - j)] for j in range(k)] for i in range(k)]),
+                          r[1 : k + 1])[-1] for k in range(1, p + 1)]
+    z0 = np.r_[np.arctanh(np.clip(yw, -0.95, 0.95)), np.zeros(q)]
+    res = minimize(css, z0, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20_000, "maxfev": 40_000})
+    return res.fun
+
+
+class TestLevenbergMarquardt:
+    CORPUS = {
+        (1, 0): ArmaSpec(ar=(0.6,)),
+        (0, 1): ArmaSpec(ma=(-0.5,)),
+        (1, 1): ArmaSpec(ar=(0.7,), ma=(-0.3,)),
+        (2, 1): ArmaSpec(ar=(1.2, -0.5), ma=(0.4,)),
+    }
+
+    @pytest.mark.parametrize("order", sorted(CORPUS))
+    def test_css_not_above_nelder_mead(self, order):
+        p, q = order
+        for rep in range(15):
+            x = simulate_arma(self.CORPUS[order], 200, RngStream(4242, rep))
+            fit = fit_arma(x, p, q)
+            assert fit.converged
+            assert fit.css <= nelder_mead_css(x, p, q) * (1.0 + 1e-10)
+
+    def test_stops_at_the_clip_with_an_admissible_spec(self):
+        # over-differenced white noise: the CSS MA(1) estimate often runs into
+        # the partial clip, where the CSS is flat in the search coordinate
+        rng = np.random.default_rng(3)
+        clipped = 0
+        for _ in range(20):
+            fit = fit_arma(np.diff(rng.standard_normal(201)), 0, 1)
+            assert fit.converged
+            assert check_admissible(fit.spec)
+            clipped += fit.spec.ma[0] == pytest.approx(0.99999, abs=1e-12)
+        assert clipped >= 1
+
+    def test_inadmissible_result_is_a_typed_value_error(self, monkeypatch):
+        x = simulate_arma(ArmaSpec(ar=(0.5,)), 200, RngStream(9, 0))
+        monkeypatch.setattr(estimation, "check_admissible", lambda spec: False)
+        with pytest.raises(NotAdmissibleError):
+            fit_arma(x, 1, 0)
+        assert issubclass(NotAdmissibleError, ValueError)
+
+    def test_iterations_count_levenberg_marquardt_steps(self):
+        x = simulate_arma(ArmaSpec(ar=(0.5,), ma=(-0.4,)), 200, RngStream(8, 0))
+        fit = fit_arma(x, 1, 1)
+        assert fit.converged and 1 <= fit.iterations <= 2 * 600
+        capped = fit_arma(x, 1, 1, FitOptions(max_restarts=0, max_iter_factor=1))
+        assert not capped.converged and capped.iterations == 2
