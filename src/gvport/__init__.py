@@ -44,12 +44,12 @@ from .generators import (
     FractionalNoiseSpec,
     GarchSpec,
     RngStream,
-    fn_autocorrelation,
+    fn_autocorrelations,
     simulate_arma,
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import McTestResult, mc_portmanteau_test, mc_test_batch
+from .mc import McTestResult, ReplicateFailedError, mc_portmanteau_test, mc_test_batch
 
 __version__ = "0.1.0"
 
@@ -68,6 +68,7 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PortmanteauValue",
     "RankDeficientError",
+    "ReplicateFailedError",
     "ResidualAcf",
     "RngStream",
     "box_pierce",
@@ -76,7 +77,7 @@ __all__ = [
     "d_hat",
     "d_mod",
     "fit_arma",
-    "fn_autocorrelation",
+    "fn_autocorrelations",
     "gamma_distortion",
     "gamma_params",
     "gamma_quantile",

@@ -89,18 +89,20 @@ def x_matrix(spec: ArmaSpec, m: int) -> np.ndarray:
     shift are zero.
     """
     require_admissible(spec)
-    p, q = spec.p, spec.q
-    if m < p + q:
-        warnings.warn(f"m={m} is below the fitted parameter count p+q={p + q}", stacklevel=2)
-    X = np.zeros((m, p + q))
-    if p:
-        w = psi_weights_reciprocal(spec.ar, m)
-        for j in range(p):
-            X[j:, j] = w[: m - j]
-    if q:
-        w = psi_weights_reciprocal(spec.ma, m)
-        for j in range(q):
-            X[j:, p + j] = w[: m - j]
+    k = spec.p + spec.q
+    if m < k:
+        warnings.warn(f"m={m} is below the fitted parameter count p+q={k}", stacklevel=2)
+    return _weight_columns(spec, m)
+
+
+def _weight_columns(spec: ArmaSpec, rows: int) -> np.ndarray:
+    """The x_matrix layout with any number of rows (information_matrix uses L)."""
+    X = np.zeros((rows, spec.p + spec.q))
+    for offset, coeffs in ((0, spec.ar), (spec.p, spec.ma)):
+        if len(coeffs):
+            w = psi_weights_reciprocal(coeffs, rows)
+            for j in range(len(coeffs)):
+                X[j:, offset + j] = w[: rows - j]
     return X
 
 
@@ -136,8 +138,7 @@ def information_matrix(spec: ArmaSpec) -> np.ndarray:
     (truncation length set by the smallest root modulus, capped).
     """
     require_admissible(spec)
-    p, q = spec.p, spec.q
-    k = p + q
+    k = spec.p + spec.q
     if k == 0:
         return np.zeros((0, 0))
     moduli = [np.min(poly_root_moduli(c)) for c in (spec.ar, spec.ma) if len(c)]
@@ -151,15 +152,7 @@ def information_matrix(spec: ArmaSpec) -> np.ndarray:
             stacklevel=2,
         )
         L = _INFO_SERIES_CAP
-    Xb = np.zeros((L, k))
-    if p:
-        w = psi_weights_reciprocal(spec.ar, L)
-        for j in range(p):
-            Xb[j:, j] = w[: L - j]
-    if q:
-        w = psi_weights_reciprocal(spec.ma, L)
-        for j in range(q):
-            Xb[j:, p + j] = w[: L - j]
+    Xb = _weight_columns(spec, L)
     J = Xb.T @ Xb
     if np.linalg.matrix_rank(J) < k:
         raise RankDeficientError(

@@ -112,12 +112,7 @@ def ljung_box(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
     k = np.arange(1, m + 1)
     q = n * (n + 2.0) * np.sum(r**2 / (n - k))
     value = PortmanteauValue(statistic=float(q), kind="ljung_box", m=m, fit_count=fit_count)
-    if not pvalue:
-        return value, None
-    df = m - fit_count
-    if df <= 0:
-        raise ValueError(f"p-value needs m > fit_count; got m={m}, fit_count={fit_count}")
-    return value, float(stats.chi2.sf(q, df))
+    return value, _chi2_pvalue(value) if pvalue else None
 
 
 def box_pierce(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
@@ -125,18 +120,21 @@ def box_pierce(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
     n, m, r = acf.n, acf.m, acf.r
     q = n * np.sum(r**2)
     value = PortmanteauValue(statistic=float(q), kind="box_pierce", m=m, fit_count=fit_count)
-    if not pvalue:
-        return value, None
-    df = m - fit_count
+    return value, _chi2_pvalue(value) if pvalue else None
+
+
+def _chi2_pvalue(value: PortmanteauValue) -> float:
+    """Upper chi-squared tail on m - fit_count degrees of freedom (needs m > fit_count)."""
+    df = value.m - value.fit_count
     if df <= 0:
-        raise ValueError(f"p-value needs m > fit_count; got m={m}, fit_count={fit_count}")
-    return value, float(stats.chi2.sf(q, df))
+        raise ValueError(f"p-value needs m > fit_count; got m={value.m}, "
+                         f"fit_count={value.fit_count}")
+    return float(stats.chi2.sf(value.statistic, df))
 
 
-def durbin_levinson_partials(r) -> tuple[np.ndarray, np.ndarray]:
-    """Partial autocorrelations and innovation-variance ratios from r(1..m).
+def durbin_levinson_partials(r) -> np.ndarray:
+    """Partial autocorrelations from r(1..m).
 
-    Returns (partials, v) where v[k-1] = prod_{j<=k} (1 - partials[j-1]^2).
     Raises NotPositiveDefiniteError at the first order whose partial leaves
     (-1, 1), reporting the determinant accumulated so far.  The recursion
     runs on Python floats: for the short vectors here that is cheaper than
@@ -145,7 +143,6 @@ def durbin_levinson_partials(r) -> tuple[np.ndarray, np.ndarray]:
     rho = np.asarray(r, dtype=float).tolist()
     m = len(rho)
     partials = np.zeros(m)
-    v = np.zeros(m)
     det_so_far = 1.0
     phi = []  # order-k prediction coefficients
     prev_v = 1.0
@@ -158,9 +155,8 @@ def durbin_levinson_partials(r) -> tuple[np.ndarray, np.ndarray]:
         phi.append(pk)
         partials[k] = pk
         prev_v *= 1.0 - pk * pk
-        v[k] = prev_v
         det_so_far *= prev_v
-    return partials, v
+    return partials
 
 
 def toeplitz_corr_det(acf: ResidualAcf) -> tuple[float, np.ndarray]:
@@ -170,7 +166,7 @@ def toeplitz_corr_det(acf: ResidualAcf) -> tuple[float, np.ndarray]:
     Durbin-Levinson recursion in O(m^2).  Positive definiteness is
     equivalent to every partial lying strictly inside (-1, 1).
     """
-    partials, _ = durbin_levinson_partials(acf.r)
+    partials = durbin_levinson_partials(acf.r)
     m = acf.m
     powers = m + 1 - np.arange(1, m + 1)
     det = float(np.prod((1.0 - partials**2) ** powers))
@@ -203,11 +199,9 @@ def d_mod(acf: ResidualAcf, fit_count: int = 0):
     if over.size:
         return NotPositiveDefinite(lag=int(over[0] + 1))
     try:
-        partials, _ = durbin_levinson_partials(r_dd)
+        det, _ = toeplitz_corr_det(ResidualAcf(r_dd, n, m))
     except NotPositiveDefiniteError as err:
         return NotPositiveDefinite(lag=err.lag)
-    powers = m + 1 - np.arange(1, m + 1)
-    det = float(np.prod((1.0 - partials**2) ** powers))
     stat = n - n * det ** (1.0 / m)
     return PortmanteauValue(statistic=max(float(stat), 0.0), kind="d_mod", m=m, fit_count=fit_count)
 
@@ -244,7 +238,7 @@ def portmanteau_table(acf: ResidualAcf, m_list, kinds) -> np.ndarray:
     out = np.empty((rows.size, len(kinds)))
     for col, kind in enumerate(kinds):
         if kind == "d_hat":
-            partials, _ = durbin_levinson_partials(r)
+            partials = durbin_levinson_partials(r)
             log_det = np.cumsum(np.cumsum(np.log1p(-partials * partials)))
             # roundoff can leave a tiny negative when det ~ 1
             values = np.maximum(-n * np.expm1(log_det / np.arange(1, M + 1)), 0.0)

@@ -41,7 +41,7 @@ from .arma import (  # noqa: F401
     pacf_to_coeffs,
     require_admissible,
 )
-from .diagnostics import durbin_levinson_partials
+from .diagnostics import durbin_levinson_partials, residual_acf
 
 # Partials are clipped here so the implied roots stay off the unit circle.
 _PACF_CLIP = 0.99999
@@ -96,13 +96,11 @@ def css_residuals(series, spec: ArmaSpec) -> np.ndarray:
     return lfilter(b, den, x - spec.mean)
 
 
-def _sample_pacf(series, p: int) -> np.ndarray:
-    """First p sample partial autocorrelations (Yule-Walker start values)."""
-    x = np.asarray(series, dtype=float) - np.mean(series)
-    denom = np.dot(x, x)
-    r = np.array([np.dot(x[k:], x[:-k]) / denom for k in range(1, p + 1)])
+def _sample_pacf(xc, p: int) -> np.ndarray:
+    """First p sample partial autocorrelations of the centered series (Yule-Walker start values)."""
+    r = residual_acf(xc, p).r
     try:
-        partials, _ = durbin_levinson_partials(r)
+        partials = durbin_levinson_partials(r)
     except ValueError:
         partials = np.clip(r, -0.9, 0.9)
     return np.clip(partials, -0.95, 0.95)
@@ -236,7 +234,7 @@ def fit_arma(series, p: int, q: int, options: FitOptions = FitOptions()) -> Fitt
     problem = _CssProblem(xc, p, q)
     start = np.zeros(p + q)
     if p:
-        start[:p] = np.arctanh(_sample_pacf(x, p))
+        start[:p] = np.arctanh(_sample_pacf(xc, p))
     max_iter = options.max_iter_factor * (p + q)
 
     best = None

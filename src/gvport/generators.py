@@ -161,25 +161,13 @@ def simulate_garch(spec: GarchSpec, n: int, rng: RngStream) -> np.ndarray:
     return eps[lead + burn :]
 
 
-def fn_autocorrelation(d: float, k: int) -> float:
-    """Autocorrelation rho(k) of the long-memory noise: rho(0)=1,
-    rho(k) = rho(k-1) (k-1+d)/(k-d)."""
-    if abs(d) >= 0.5:
-        raise ValueError(f"need |d| < 0.5, got d={d}")
-    if k < 0:
-        raise ValueError("lag must be >= 0")
-    rho = 1.0
-    for j in range(1, k + 1):
-        rho *= (j - 1 + d) / (j - d)
-    return rho
-
-
 def fn_autocorrelations(d: float, max_lag: int) -> np.ndarray:
-    """rho(0..max_lag) via the ratio recursion (vectorized cumulative product)."""
+    """Autocorrelations rho(0..max_lag) of the long-memory noise: rho(0) = 1,
+    rho(k) = rho(k-1) (k-1+d)/(k-d), as one cumulative product."""
     if abs(d) >= 0.5:
         raise ValueError(f"need |d| < 0.5, got d={d}")
-    if max_lag == 0:
-        return np.ones(1)
+    if max_lag < 0:
+        raise ValueError("max_lag must be >= 0")
     j = np.arange(1, max_lag + 1)
     return np.concatenate(([1.0], np.cumprod((j - 1 + d) / (j - d))))
 
@@ -204,7 +192,7 @@ def simulate_fractional_noise(spec: FractionalNoiseSpec, n: int, rng: RngStream)
     gamma0 = fn_variance(spec)
     if spec.d == 0.0:
         return math.sqrt(gamma0) * z
-    rho = fn_autocorrelations(spec.d, n - 1) if n > 1 else np.ones(1)
+    rho = fn_autocorrelations(spec.d, n - 1)
     x = np.empty(n)
     x[0] = math.sqrt(gamma0) * z[0]
     if n == 1:

@@ -8,7 +8,9 @@ observed one (ties count), the p-value is (k+1)/(N+1).
 Each replicate owns one substream of the master seed and any refit-failure
 redraw owns a (replicate, attempt) substream, so the result is a pure
 function of (series, orders, m, N, statistic kind, master seed) regardless
-of how many workers execute the replicates.
+of how many workers execute the replicates.  `redraw` is that rule for
+every replicate loop, here and in the study runners, and `map_chunks` is
+the one place replicates are spread over worker processes.
 
 The grid runner computes several (m, statistic) pairs from one shared set
 of replicates; comparisons across statistics or lag counts are then paired,
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .estimation import FitOptions, FittedModel, css_residuals, fit_arma
 from .generators import RngStream, simulate_arma
 
 MC_STATISTICS = ("d_hat", "ljung_box", "box_pierce")
+REDRAW_ATTEMPTS = 10
 
 
 @dataclass(frozen=True)
@@ -53,67 +57,73 @@ class McGridResult:
     failed_replicates: int
 
 
-def _observed_fit(series, p, q, known_spec, fit_options) -> FittedModel:
+def _observed_fit(x: np.ndarray, p, q, known_spec, fit_options) -> FittedModel:
     if known_spec is None:
-        return fit_arma(series, p, q, fit_options)
-    x = np.asarray(series, dtype=float)
+        return fit_arma(x, p, q, fit_options)
     resid = css_residuals(x, known_spec)
     return FittedModel(spec=known_spec, residuals=resid, css=float(np.dot(resid, resid)),
                        converged=True, iterations=0, n=x.size)
 
 
-def _replicate_stats(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int,
-                     stream: RngStream, known_spec, fit_options,
-                     max_attempts: int = 10) -> tuple[np.ndarray, int]:
-    """One replicate: simulate, refit, statistics for every (m, kind) pair."""
-    failures = 0
-    for attempt in range(max_attempts):
-        sub = stream if attempt == 0 else stream.substream(attempt)
-        sim = simulate_arma(spec, n, sub)
+class ReplicateFailedError(RuntimeError):
+    """Replicates could not be drawn: a stream failed on every redraw, or
+    the redraws of one MC test outnumbered its N replicates."""
+
+
+def redraw(stream: RngStream, simulate, score, errors=ValueError):
+    """Draw on `stream`, then on stream.substream(1), (2), ... until `score` succeeds.
+
+    `simulate(stream)` makes the candidate outside the `try`, so its errors
+    propagate; `score(candidate)` raising one of `errors` fails the attempt.
+    Returns (score value, failed attempts).  Raises ReplicateFailedError
+    when all REDRAW_ATTEMPTS attempts fail.
+    """
+    for attempt in range(REDRAW_ATTEMPTS):
+        candidate = simulate(stream if attempt == 0 else stream.substream(attempt))
         try:
-            if known_spec is None:
-                resid = fit_arma(sim, p, q, fit_options).residuals
-            else:
-                resid = css_residuals(sim, known_spec)
-            acf = residual_acf(resid, max(m_list))
-            return portmanteau_table(acf, m_list, kinds).ravel(), failures
-        except ValueError:
-            failures += 1
-    raise RuntimeError(f"replicate failed {max_attempts} times in a row; "
-                       f"fitted model {spec} appears pathological")
+            return score(candidate), attempt
+        except errors:
+            pass
+    raise ReplicateFailedError(f"replicate on stream {stream.key} of seed {stream.master_seed} "
+                               f"failed {REDRAW_ATTEMPTS} times in a row")
 
 
-def _replicate_batch(args):
-    spec, n, m_list, kinds, p, q, master_seed, parent_key, indices, known_spec, fit_options = args
-    out = np.empty((len(indices), len(m_list) * len(kinds)))
-    failures = 0
-    for j, i in enumerate(indices):
-        stream = RngStream(master_seed, i, parent_key=parent_key)
-        stats, f = _replicate_stats(spec, n, m_list, kinds, p, q, stream,
-                                    known_spec, fit_options)
-        out[j] = stats
-        failures += f
-    return out, failures
+def map_chunks(worker, items, threads: int) -> tuple[list, int]:
+    """Run `worker(chunk) -> (rows, failures)` over contiguous chunks of `items`.
+
+    With threads > 1 the min(4 * threads, len(items)) chunks run in a
+    process pool (the worker must pickle); otherwise one chunk runs in
+    process.  Rows are joined in item order and failures summed, so the
+    result does not depend on `threads`.
+    """
+    items = list(items)
+    if threads <= 1 or len(items) < 2:
+        results = [worker(items)]
+    else:
+        k = min(4 * threads, len(items))
+        bounds = [len(items) * j // k for j in range(k + 1)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(worker, [items[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return [row for rows, _ in results for row in rows], sum(f for _, f in results)
 
 
-def _run_replicates(spec, n, m_list, kinds, p, q, N, master_seed, parent_key,
-                    known_spec, fit_options, threads) -> tuple[np.ndarray, int]:
-    indices = np.arange(1, N + 1)
-    if threads <= 1 or N < 8:
-        return _replicate_batch((spec, n, m_list, kinds, p, q, master_seed,
-                                 parent_key, list(indices), known_spec, fit_options))
-    chunks = [list(c) for c in np.array_split(indices, min(threads * 4, N)) if len(c)]
-    args = [(spec, n, m_list, kinds, p, q, master_seed, parent_key, c, known_spec, fit_options)
-            for c in chunks]
-    stats = np.empty((N, len(m_list) * len(kinds)))
-    failures = 0
-    pos = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for out, f in pool.map(_replicate_batch, args):
-            stats[pos : pos + out.shape[0]] = out
-            failures += f
-            pos += out.shape[0]
-    return stats, failures
+def redraw_rows(simulate, score, streams) -> tuple[list, int]:
+    """`redraw` on each stream in turn: (values, total failed attempts)."""
+    rows, failures = [], 0
+    for stream in streams:
+        row, failed = redraw(stream, simulate, score)
+        rows.append(row)
+        failures += failed
+    return rows, failures
+
+
+def replicate_score(m_list, kinds, p: int, q: int, known_spec, fit_options, sim) -> np.ndarray:
+    """Refit one simulated series (or filter it with `known_spec`); every (m, kind) statistic."""
+    if known_spec is None:
+        resid = fit_arma(sim, p, q, fit_options).residuals
+    else:
+        resid = css_residuals(sim, known_spec)
+    return portmanteau_table(residual_acf(resid, max(m_list)), m_list, kinds).ravel()
 
 
 def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
@@ -150,25 +160,24 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
 
     fitted = _observed_fit(x, p, q, known_spec, fit_options)
     table = portmanteau_table(residual_acf(fitted.residuals, max(m_list)), m_list, kinds)
-    observed = {(m, kind): PortmanteauValue(statistic=float(table[i, j]), kind=kind, m=m,
-                                            fit_count=p + q)
-                for i, m in enumerate(m_list) for j, kind in enumerate(kinds)}
+    # one observed value per replicate column, in the (m, kind) order of the table's rows
+    observed = [PortmanteauValue(statistic=float(table[i, j]), kind=kind, m=m, fit_count=p + q)
+                for i, m in enumerate(m_list) for j, kind in enumerate(kinds)]
 
-    stats, failures = _run_replicates(fitted.spec, x.size, m_list, kinds, p, q, N,
-                                      master_seed, parent_key, known_spec,
-                                      fit_options, threads)
+    worker = partial(redraw_rows, partial(simulate_arma, fitted.spec, x.size),
+                     partial(replicate_score, m_list, kinds, p, q, known_spec, fit_options))
+    streams = [RngStream(master_seed, i, parent_key=parent_key) for i in range(1, N + 1)]
+    rows, failures = map_chunks(worker, streams, threads)
     if failures > N:
-        raise RuntimeError(f"{failures} replicate failures exceeded N={N}; aborting")
+        raise ReplicateFailedError(f"{failures} replicate failures exceeded N={N}; aborting")
+    stats = np.array(rows)
 
     cells = {}
-    idx = 0
-    for m in m_list:
-        for kind in kinds:
-            k = int(np.sum(stats[:, idx] >= observed[(m, kind)].statistic))
-            cells[(m, kind)] = McTestResult(
-                observed=observed[(m, kind)], N=N, k=k, p_value=(k + 1) / (N + 1),
-                failed_replicates=failures, statistic_kind=kind, master_seed=master_seed)
-            idx += 1
+    for col, obs in enumerate(observed):
+        k = int(np.sum(stats[:, col] >= obs.statistic))
+        cells[(obs.m, obs.kind)] = McTestResult(
+            observed=obs, N=N, k=k, p_value=(k + 1) / (N + 1),
+            failed_replicates=failures, statistic_kind=obs.kind, master_seed=master_seed)
     return McGridResult(cells=cells, fitted=fitted, N=N, failed_replicates=failures)
 
 
@@ -218,15 +227,15 @@ def mc_test_batch(configs, parallelism: int = 1) -> list:
     independent of `parallelism` because every config carries its own
     master seed.
     """
-    if parallelism <= 1 or len(configs) < 2:
-        return [_safe_test(cfg) for cfg in configs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(_safe_test, cfg) for cfg in configs]
-        return [f.result() for f in futures]
+    results, _ = map_chunks(_test_rows, configs, parallelism)
+    return results
 
 
-def _safe_test(cfg):
-    try:
-        return mc_portmanteau_test(**cfg)
-    except Exception as err:  # noqa: BLE001 - aggregated per contract
-        return err
+def _test_rows(configs) -> tuple[list, int]:
+    results = []
+    for cfg in configs:
+        try:
+            results.append(mc_portmanteau_test(**cfg))
+        except Exception as err:  # noqa: BLE001 - aggregated per contract
+            results.append(err)
+    return results, 0

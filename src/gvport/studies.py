@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .arma import ArmaSpec
+from .arma import ArmaSpec, require_admissible
 from .asymptotic import (
     InfeasibleGammaError,
     gamma_distortion,
@@ -40,8 +40,8 @@ from .asymptotic import (
     imhof_quantile,
     lambda_spectrum,
 )
-from .diagnostics import ljung_box, portmanteau_table, residual_acf
-from .estimation import fit_arma
+from .diagnostics import ljung_box, residual_acf
+from .estimation import FitOptions
 from .generators import (
     FractionalNoiseSpec,
     GarchSpec,
@@ -50,7 +50,14 @@ from .generators import (
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import mc_portmanteau_grid
+from .mc import (
+    ReplicateFailedError,
+    map_chunks,
+    mc_portmanteau_grid,
+    redraw,
+    redraw_rows,
+    replicate_score,
+)
 
 STUDY_KINDS = ("gamma_distortion", "convergence", "size", "power")
 QQ_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99)
@@ -189,6 +196,7 @@ def build_model(desc: dict, index: int = 0):
             spec = ArmaSpec(ar=tuple(desc.get("ar", ())), ma=tuple(desc.get("ma", ())),
                             sigma2=float(desc.get("sigma2", 1.0)),
                             mean=float(desc.get("mean", 0.0)))
+            require_admissible(spec)
         elif t == "garch":
             spec = GarchSpec(omega=float(desc["omega"]), alpha=tuple(desc.get("alpha", ())),
                              beta=tuple(desc.get("beta", ())))
@@ -365,28 +373,6 @@ def run_gamma_distortion_study(config: StudyConfig, threads: int = 1) -> StudyRe
 # ---------------------------------------------------------------------------
 # convergence study
 
-def _convergence_chunk(args):
-    (desc, n, m_list, fit_p, fit_q, master_seed, indices) = args
-    _, spec = build_model(desc)
-    out = np.empty((len(indices), len(m_list)))
-    failures = 0
-    for j, outer in enumerate(indices):
-        root = RngStream(master_seed, outer)
-        for attempt in range(10):
-            stream = root.substream(0) if attempt == 0 else root.substream(0).substream(attempt)
-            x = simulate_model(spec, n, stream)
-            try:
-                fitted = fit_arma(x, fit_p, fit_q)
-                acf = residual_acf(fitted.residuals, max(m_list))
-                out[j] = portmanteau_table(acf, m_list, ("d_hat",))[:, 0]
-                break
-            except ValueError:
-                failures += 1
-        else:
-            raise RuntimeError(f"simulation fit failed repeatedly for {desc} at n={n}")
-    return out, failures
-
-
 def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
     """Finite-sample law of the generalized-variance statistic vs asymptotic.
 
@@ -407,11 +393,12 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
             raise StudyConfigError("convergence study models must be ARMA descriptors")
         spectra = {m: lambda_spectrum(spec, m) for m in config.m_list}
         for n in config.n_list:
-            stats, failures = _map_chunks(
-                _convergence_chunk,
-                [(desc, n, config.m_list, config.fit_p, config.fit_q, config.master_seed, c)
-                 for c in _index_chunks(R, threads)],
-                threads, (R, len(config.m_list)))
+            worker = partial(redraw_rows, partial(simulate_model, spec, n),
+                             partial(replicate_score, config.m_list, ("d_hat",), config.fit_p,
+                                     config.fit_q, None, FitOptions()))
+            streams = [RngStream(config.master_seed, outer).substream(0) for outer in range(R)]
+            rows, failures = map_chunks(worker, streams, threads)
+            stats = np.array(rows)
             if failures:
                 report.warnings.append(f"{mid} n={n}: {failures} simulation fits redrawn")
             for c, m in enumerate(config.m_list):
@@ -432,40 +419,27 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
 # ---------------------------------------------------------------------------
 # size and power studies
 
-def _size_power_chunk(args):
-    (desc, n, m_list, kinds, fit_p, fit_q, N, master_seed, oracle,
-     want_chi2, indices) = args
-    _, spec = build_model(desc)
-    known = spec if (oracle and isinstance(spec, ArmaSpec)) else None
-    n_mc = len(m_list) * len(kinds)
-    n_chi = len(m_list) if want_chi2 else 0
-    out = np.empty((len(indices), n_mc + n_chi))
-    failures = 0
-    for j, outer in enumerate(indices):
-        root = RngStream(master_seed, outer)
-        for attempt in range(10):
-            stream = root.substream(0) if attempt == 0 else root.substream(0).substream(attempt)
-            x = simulate_model(spec, n, stream)
-            try:
-                grid = mc_portmanteau_grid(x, fit_p, fit_q, m_list, N, kinds=kinds,
-                                           base_stream=root, known_spec=known)
-                break
-            except (ValueError, RuntimeError):
-                failures += 1
-        else:
-            raise RuntimeError(f"outer replicate failed repeatedly for {desc} at n={n}")
-        col = 0
-        for m in m_list:
-            for kind in kinds:
-                out[j, col] = grid.cells[(m, kind)].p_value
-                col += 1
+def _rejection_rows(simulate, m_list, kinds, fit_p: int, fit_q: int, N: int, known_spec,
+                    want_chi2: bool, roots) -> tuple[list, int]:
+    """MC p-values (and chi-squared Ljung-Box p-values) for the outer replicates `roots`.
+
+    Outer replicate `root` draws its series on root.substream(0) and its inner
+    replicates on root.substream(1..N).
+    """
+    rows, failures = [], 0
+    for root in roots:
+        grid, failed = redraw(
+            root.substream(0), simulate,
+            lambda x: mc_portmanteau_grid(x, fit_p, fit_q, m_list, N, kinds=kinds,
+                                          base_stream=root, known_spec=known_spec),
+            errors=(ValueError, ReplicateFailedError))
+        row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
         if want_chi2:
             acf = residual_acf(grid.fitted.residuals, max(m_list))
-            for m in m_list:
-                out[j, col] = ljung_box(acf.prefix(m), fit_p + fit_q)[1]
-                col += 1
-        failures += grid.failed_replicates
-    return out, failures
+            row += [ljung_box(acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+        rows.append(row)
+        failures += failed + grid.failed_replicates
+    return rows, failures
 
 
 def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
@@ -473,35 +447,26 @@ def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
     report = _new_report(config)
     R, N = config.replications, config.mc_replicates
     kinds = config.statistics
+    # (label, m, N) of each column _rejection_rows returns
+    columns = [(f"{study_label}:mc_{kind}", m, N) for m in config.m_list for kind in kinds]
+    if want_chi2:
+        columns += [(f"{study_label}:chi2_ljung_box", m, 0) for m in config.m_list]
     for i, desc in enumerate(config.models):
-        mid, _spec = build_model(desc, i)
+        mid, spec = build_model(desc, i)
+        known = spec if (config.oracle and isinstance(spec, ArmaSpec)) else None
         for n in config.n_list:
-            ncols = len(config.m_list) * len(kinds) + (len(config.m_list) if want_chi2 else 0)
-            pvals, failures = _map_chunks(
-                _size_power_chunk,
-                [(desc, n, config.m_list, kinds, config.fit_p, config.fit_q, N,
-                  config.master_seed, config.oracle, want_chi2, c)
-                 for c in _index_chunks(R, threads)],
-                threads, (R, ncols))
+            worker = partial(_rejection_rows, partial(simulate_model, spec, n), config.m_list,
+                             kinds, config.fit_p, config.fit_q, N, known, want_chi2)
+            roots = [RngStream(config.master_seed, outer) for outer in range(R)]
+            rows, failures = map_chunks(worker, roots, threads)
+            pvals = np.array(rows)
             if failures:
                 report.warnings.append(f"{mid} n={n}: {failures} replicate redraws/refit retries")
-            col = 0
-            for m in config.m_list:
-                for kind in kinds:
-                    for level in config.levels:
-                        est = float(np.mean(pvals[:, col] <= level))
-                        stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / R))
-                        report.add(f"{study_label}:mc_{kind}", mid, n, m, level,
-                                   est, stderr, R, N)
-                    col += 1
-            if want_chi2:
-                for m in config.m_list:
-                    for level in config.levels:
-                        est = float(np.mean(pvals[:, col] <= level))
-                        stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / R))
-                        report.add(f"{study_label}:chi2_ljung_box", mid, n, m, level,
-                                   est, stderr, R, 0)
-                    col += 1
+            for col, (label, m, n_mc) in enumerate(columns):
+                for level in config.levels:
+                    est = float(np.mean(pvals[:, col] <= level))
+                    stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / R))
+                    report.add(label, mid, n, m, level, est, stderr, R, n_mc)
     _finish(report)
     return report
 
@@ -557,31 +522,3 @@ def _new_report(config: StudyConfig) -> StudyReport:
 
 def _finish(report: StudyReport) -> None:
     report.metadata["timing_seconds"] = time.time() - report.metadata["started_unix"]
-
-
-def _index_chunks(R: int, threads: int) -> list:
-    idx = np.arange(R)
-    if threads <= 1 or R < 4:
-        return [list(idx)]
-    return [list(c) for c in np.array_split(idx, min(threads * 4, R)) if len(c)]
-
-
-def _map_chunks(worker, args, threads, shape) -> tuple[np.ndarray, int]:
-    """Run worker over chunks (possibly in a process pool), reduce in order."""
-    out = np.empty(shape)
-    failures = 0
-    pos = 0
-
-    def _reduce(results):
-        nonlocal failures, pos
-        for chunk_out, f in results:
-            out[pos : pos + chunk_out.shape[0]] = chunk_out
-            failures += f
-            pos += chunk_out.shape[0]
-
-    if threads <= 1 or len(args) == 1:
-        _reduce(map(worker, args))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            _reduce(pool.map(worker, args))
-    return out, failures

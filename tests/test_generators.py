@@ -9,7 +9,6 @@ from gvport.generators import (
     GarchSpec,
     RngStream,
     arma_burn_in,
-    fn_autocorrelation,
     fn_autocorrelations,
     fn_variance,
     simulate_arma,
@@ -133,38 +132,48 @@ class TestSimulateGarch:
 
 class TestFnAutocorrelation:
     def test_d_zero(self):
-        assert fn_autocorrelation(0.0, 5) == 0.0
-        assert fn_autocorrelation(0.0, 0) == 1.0
+        np.testing.assert_array_equal(fn_autocorrelations(0.0, 5), [1, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(fn_autocorrelations(0.0, 0), [1.0])
 
     def test_lag1(self):
-        assert fn_autocorrelation(0.3, 1) == pytest.approx(0.3 / 0.7)
+        assert fn_autocorrelations(0.3, 1)[1] == pytest.approx(0.3 / 0.7)
 
     def test_lag2_recursion(self):
-        assert fn_autocorrelation(0.2, 2) == pytest.approx((0.2 / 0.8) * (1.2 / 1.8))
-        assert fn_autocorrelation(0.2, 2) == pytest.approx(1 / 6)
+        assert fn_autocorrelations(0.2, 2)[2] == pytest.approx((0.2 / 0.8) * (1.2 / 1.8))
+        assert fn_autocorrelations(0.2, 2)[2] == pytest.approx(1 / 6)
 
     def test_vector_matches_scalar(self):
-        rho = fn_autocorrelations(0.25, 10)
+        # reference: the ratio recursion one lag at a time
+        d = 0.25
+        rho = fn_autocorrelations(d, 10)
+        want = 1.0
         for k in range(11):
-            assert rho[k] == pytest.approx(fn_autocorrelation(0.25, k), rel=1e-12)
+            if k:
+                want *= (k - 1 + d) / (k - d)
+            assert rho[k] == pytest.approx(want, rel=1e-12)
 
     def test_gamma_ratio_closed_form(self):
         # rho(k) = Gamma(k+d) Gamma(1-d) / (Gamma(k-d+1) Gamma(d)) for d != 0
         from scipy.special import gammaln
 
         d = 0.3
+        rho = fn_autocorrelations(d, 20)
         for k in (1, 2, 5, 20):
             want = np.exp(gammaln(k + d) + gammaln(1 - d) - gammaln(k - d + 1) - gammaln(d))
-            assert fn_autocorrelation(d, k) == pytest.approx(want, rel=1e-12)
+            assert rho[k] == pytest.approx(want, rel=1e-12)
 
     def test_invalid_d(self):
         with pytest.raises(ValueError):
-            fn_autocorrelation(0.5, 1)
+            fn_autocorrelations(0.5, 1)
         with pytest.raises(ValueError):
             fn_autocorrelations(-0.6, 3)
 
+    def test_negative_lag(self):
+        with pytest.raises(ValueError, match="max_lag"):
+            fn_autocorrelations(0.2, -1)
+
     def test_negative_d_alternates_start(self):
-        assert fn_autocorrelation(-0.3, 1) < 0
+        assert fn_autocorrelations(-0.3, 1)[1] < 0
 
 
 class TestSimulateFractionalNoise:
@@ -192,7 +201,7 @@ class TestSimulateFractionalNoise:
         xc = x - x.mean()
         r1 = np.dot(xc[1:], xc[:-1]) / np.dot(xc, xc)
         # long memory biases the sample acf downward ~n^{2d-1}; allow for it
-        assert r1 == pytest.approx(fn_autocorrelation(0.25, 1), abs=0.03)
+        assert r1 == pytest.approx(fn_autocorrelations(0.25, 1)[1], abs=0.03)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,14 @@ import pytest
 import gvport.mc as mc_module
 from gvport.arma import ArmaSpec
 from gvport.generators import RngStream, simulate_arma
-from gvport.mc import mc_portmanteau_grid, mc_portmanteau_test, mc_test_batch
+from gvport.mc import (
+    REDRAW_ATTEMPTS,
+    ReplicateFailedError,
+    mc_portmanteau_grid,
+    mc_portmanteau_test,
+    mc_test_batch,
+    redraw,
+)
 
 
 def impulse_series(n=60):
@@ -131,6 +138,64 @@ class TestFailureHandling:
         # observed fit (len 100) dies -> fatal
         with pytest.raises(ValueError):
             mc_portmanteau_test(x, 1, 0, 5, 9, master_seed=9)
+
+
+class TestRedraw:
+    @staticmethod
+    def keyed_simulate(keys):
+        def simulate(stream):
+            keys.append(stream.key)
+            return len(keys) - 1  # attempt number
+        return simulate
+
+    def test_stream_order_and_failure_count(self):
+        keys = []
+
+        def score(attempt):
+            if attempt < 3:
+                raise ValueError("synthetic failure")
+            return f"value{attempt}"
+
+        value, failed = redraw(RngStream(5, 2, parent_key=(7,)), self.keyed_simulate(keys), score)
+        assert (value, failed) == ("value3", 3)
+        assert keys == [(7, 2), (7, 2, 1), (7, 2, 2), (7, 2, 3)]
+
+    def test_first_draw_needs_no_redraw(self):
+        keys = []
+        assert redraw(RngStream(5, 0), self.keyed_simulate(keys), lambda a: a) == (0, 0)
+        assert keys == [(0,)]
+
+    def test_raises_after_last_attempt(self):
+        keys = []
+
+        def score(attempt):
+            raise ValueError("always fails")
+
+        with pytest.raises(ReplicateFailedError, match=r"\(3, 1\)"):
+            redraw(RngStream(5, 1, parent_key=(3,)), self.keyed_simulate(keys), score)
+        assert keys == [(3, 1)] + [(3, 1, a) for a in range(1, REDRAW_ATTEMPTS)]
+        assert issubclass(ReplicateFailedError, RuntimeError)
+
+    def test_only_listed_errors_redraw(self):
+        def score(_):
+            raise ArithmeticError("not a redraw error")
+
+        with pytest.raises(ArithmeticError):
+            redraw(RngStream(5, 0), lambda stream: 0, score)
+        value, failed = redraw(RngStream(5, 0), self.keyed_simulate([]),
+                               lambda a: 1 / 0 if a == 0 else a, errors=ZeroDivisionError)
+        assert (value, failed) == (1, 1)
+
+    def test_simulate_error_propagates_without_redraw(self):
+        calls = []
+
+        def simulate(stream):
+            calls.append(stream.key)
+            raise ValueError("simulation failure")
+
+        with pytest.raises(ValueError, match="simulation failure"):
+            redraw(RngStream(5, 0), simulate, lambda x: x)
+        assert calls == [(0,)]
 
 
 class TestOracleExactness:

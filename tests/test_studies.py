@@ -108,6 +108,13 @@ class TestConfigLoading:
                                    "beta": [0.7]}, 1)
         assert spec2.unconditional_variance == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("model", [{"type": "arma", "ar": [1.5]},
+                                       {"type": "arma", "ma": [0.5, 0.9, 0.8]}])
+    @pytest.mark.parametrize("study", ["size", "gamma_distortion"])
+    def test_inadmissible_arma_rejected(self, model, study):
+        with pytest.raises(StudyConfigError, match=r"models\[1\]"):
+            tiny_config(study=study, models=[AR1_MODEL, model])
+
 
 class TestGammaDistortionStudy:
     def test_grid_rows_and_values(self):
@@ -220,6 +227,22 @@ class TestDeterminismAndOutputs:
         cfg = tiny_config(R=10, N=19)
         texts = {t: run_size_study(cfg, threads=t).csv_text() for t in (1, 2, 3)}
         assert texts[1] == texts[2] == texts[3]
+
+    def test_convergence_and_power_byte_identical_across_threads(self):
+        conv = tiny_config(study="convergence", R=9, m=[6], n=[60])
+        power = tiny_config(study="power", R=6, N=19,
+                            statistics=["d_hat", "ljung_box", "box_pierce"],
+                            models=[{"type": "fractional_noise", "d": 0.3},
+                                    {"type": "garch", "omega": 0.1, "alpha": [0.3], "beta": [0.5]}],
+                            m=[3, 5])
+        for run, cfg in ((run_convergence_study, conv), (run_power_study, power)):
+            one, two = (run(cfg, threads=t) for t in (1, 2))
+            assert one.csv_text() == two.csv_text()
+            assert one.qq_csv_text() == two.qq_csv_text()
+            assert one.warnings == two.warnings
+        # the last pair is the power study: every statistic and the chi-squared column ran
+        assert {r["study"] for r in one.rows} == {"power:mc_d_hat", "power:mc_ljung_box",
+                                                  "power:mc_box_pierce", "power:chi2_ljung_box"}
 
     def test_rerun_identical(self):
         cfg = tiny_config(study="convergence", R=25, m=[6], n=[60])
