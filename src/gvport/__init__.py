@@ -41,6 +41,7 @@ from .diagnostics import (
 )
 from .estimation import FitOptions, FittedModel, css_residuals, fit_arma
 from .generators import (
+    EmbeddingError,
     FractionalNoiseSpec,
     GarchSpec,
     RngStream,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmaSpec",
     "EigenSpectrum",
+    "EmbeddingError",
     "FitOptions",
     "FittedModel",
     "FractionalNoiseSpec",

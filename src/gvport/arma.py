@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 # Margin on the step-down partial autocorrelations: a polynomial counts as
 # admissible when every partial lies in (-1 + PACF_MARGIN, 1 - PACF_MARGIN).
@@ -110,15 +111,23 @@ def pacf_to_coeffs(pacf) -> np.ndarray:
     The result is always an admissible polynomial vector (all roots outside
     the unit circle).
     """
-    pacf = np.asarray(pacf, dtype=float)
-    k = pacf.size
+    return step_up_jacobian(np.asarray(pacf, dtype=float))[0]
+
+
+def step_up_jacobian(g) -> tuple[np.ndarray, np.ndarray]:
+    """pacf_to_coeffs(g) and its Jacobian d coeffs / d g, by forward differentiation."""
+    k = g.size
     a = np.zeros(k)
+    D = np.zeros((k, k))
     for j in range(k):
-        pj = pacf[j]
         if j:
-            a[:j] = a[:j] - pj * a[j - 1 :: -1]
-        a[j] = pj
-    return a
+            rev = a[j - 1 :: -1].copy()
+            D[:j] = D[:j] - g[j] * D[j - 1 :: -1]
+            D[:j, j] -= rev
+            a[:j] -= g[j] * rev
+        a[j] = g[j]
+        D[j, j] = 1.0
+    return a, D
 
 
 def coeffs_to_pacf(coeffs) -> np.ndarray:
@@ -170,35 +179,19 @@ def psi_weights_reciprocal(coeffs, count: int) -> np.ndarray:
     psi_0 = 1, psi_j = sum_{i=1}^{min(j,k)} c_i psi_{j-i}.  The polynomial
     must have all roots outside the unit circle.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    c = _as_coeff_array(coeffs)
-    if not is_admissible_poly(c):
-        raise NotAdmissibleError(f"polynomial has a root inside/on the unit circle: {tuple(c)}")
-    k = c.size
-    psi = np.zeros(count)
-    psi[0] = 1.0
-    for j in range(1, count):
-        i = min(j, k)
-        psi[j] = np.dot(c[:i], psi[j - i : j][::-1])
-    return psi
+    return arma_psi_weights(ArmaSpec(ar=coeffs), count)
 
 
 def arma_psi_weights(spec: ArmaSpec, count: int) -> np.ndarray:
-    """MA(infinity) weights of the full transfer function theta(B)/phi(B)."""
+    """MA(infinity) weights of the full transfer function theta(B)/phi(B):
+    its first `count` impulse-response values, from one lfilter call."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     require_admissible(spec)
-    if spec.p == 0:
-        psi = np.zeros(count)
-        psi[0] = 1.0
-        eta = -np.asarray(spec.ma)
-        upto = min(spec.q, count - 1)
-        psi[1 : upto + 1] = eta[:upto]
-        return psi
-    psi_ar = psi_weights_reciprocal(spec.ar, count)
-    if spec.q == 0:
-        return psi_ar
-    theta_poly = np.concatenate(([1.0], -np.asarray(spec.ma)))
-    return np.convolve(psi_ar, theta_poly)[:count]
+    impulse = np.zeros(count)
+    impulse[0] = 1.0
+    return lfilter(np.concatenate(([1.0], -np.asarray(spec.ma))),
+                   np.concatenate(([1.0], -np.asarray(spec.ar))), impulse)
 
 
 def theoretical_acvf(spec: ArmaSpec, max_lag: int) -> np.ndarray:

@@ -187,11 +187,11 @@ def lambda_spectrum(spec: ArmaSpec, m: int, covariance: str = "information") -> 
     `covariance="projection"` selects the m-truncated surrogate (see module
     docstring); the default matches the exact asymptotic law.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if spec.p + spec.q == 0:
         # covariance is the identity; the spectrum is the weight diagonal, exactly
         require_admissible(spec)
-        if m < 1:
-            raise ValueError("m must be >= 1")
         return EigenSpectrum(lambdas=lag_weights(m), m=m, p=0, q=0)
     C = acf_covariance(spec, m, covariance)
     sw = np.sqrt(lag_weights(m))

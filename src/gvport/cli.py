@@ -27,7 +27,7 @@ from .asymptotic import (
     imhof_quantile,
     lambda_spectrum,
 )
-from .diagnostics import d_hat, ljung_box, residual_acf
+from .diagnostics import d_hat, ljung_box
 from .mc import mc_portmanteau_grid
 from .series_io import SeriesParseError, read_series
 from .studies import StudyConfigError, load_study_config, run_study
@@ -101,7 +101,18 @@ def _auto_threads(requested: int) -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _orders_ok(m_values, p: int, q: int) -> bool:
+    """False, after printing why, unless every lag count is >= 1 and p, q >= 0."""
+    ok = min(m_values) >= 1 and min(p, q) >= 0
+    if not ok:
+        print(f"error: need --m >= 1 and --p, --q >= 0, got m={list(m_values)}, p={p}, q={q}",
+              file=sys.stderr)
+    return ok
+
+
 def cmd_test(args) -> int:
+    if not _orders_ok(args.m, args.p, args.q):
+        return EXIT_USAGE
     try:
         series = read_series(args.file, column=args.column)
     except FileNotFoundError:
@@ -131,18 +142,17 @@ def cmd_test(args) -> int:
 
     fitted = grid.fitted
     fit_count = args.p + args.q
-    acf_full = residual_acf(fitted.residuals, max(m_list))
     n = fitted.n
 
     results = []
     for m in m_list:
-        acf = acf_full.prefix(m)
+        acf = grid.observed_acf.prefix(m)
         row = {"m": m}
 
-        lb_stat, _ = ljung_box(acf, fit_count, pvalue=False)
+        lb_stat, lb_p = ljung_box(acf, fit_count, pvalue=m > fit_count)
         row["ljung_box"] = {"statistic": lb_stat.statistic}
         if m > fit_count:
-            row["ljung_box"]["p_value"] = ljung_box(acf, fit_count)[1]
+            row["ljung_box"]["p_value"] = lb_p
         else:
             row["ljung_box"]["error"] = (
                 f"chi-squared p-value undefined: m={m} <= p+q={fit_count}")
@@ -227,6 +237,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
+    if not _orders_ok([args.m], args.p, args.q):
+        return EXIT_USAGE
     if len(args.phi) != args.p or len(args.theta) != args.q:
         print(f"error: expected {args.p} phi and {args.q} theta values, "
               f"got {len(args.phi)} and {len(args.theta)}", file=sys.stderr)

@@ -40,6 +40,7 @@ from .arma import (  # noqa: F401
     coeffs_to_pacf,
     pacf_to_coeffs,
     require_admissible,
+    step_up_jacobian,
 )
 from .diagnostics import durbin_levinson_partials, residual_acf
 
@@ -106,22 +107,6 @@ def _sample_pacf(xc, p: int) -> np.ndarray:
     return np.clip(partials, -0.95, 0.95)
 
 
-def _step_up_jacobian(g) -> tuple[np.ndarray, np.ndarray]:
-    """pacf_to_coeffs(g) and its Jacobian d coeffs / d g, by forward differentiation."""
-    k = g.size
-    a = np.zeros(k)
-    D = np.zeros((k, k))
-    for j in range(k):
-        if j:
-            rev = a[j - 1 :: -1].copy()
-            D[:j] = D[:j] - g[j] * D[j - 1 :: -1]
-            D[:j, j] -= rev
-            a[:j] -= g[j] * rev
-        a[j] = g[j]
-        D[j, j] = 1.0
-    return a, D
-
-
 class _CssProblem:
     """CSS residuals a(z) of the centered series and their Jacobian da/dz."""
 
@@ -136,8 +121,8 @@ class _CssProblem:
         p, q, xc = self.p, self.q, self.xc
         t = np.tanh(z)
         g = np.clip(t, -_PACF_CLIP, _PACF_CLIP)
-        phi, dphi = _step_up_jacobian(g[:p])
-        theta, dtheta = _step_up_jacobian(g[p:])
+        phi, dphi = step_up_jacobian(g[:p])
+        theta, dtheta = step_up_jacobian(g[p:])
         den = np.concatenate(([1.0], -theta))
         u = lfilter([1.0], den, xc) if q else xc
         a = u.copy()

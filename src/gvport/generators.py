@@ -178,35 +178,34 @@ def fn_variance(spec: FractionalNoiseSpec) -> float:
     return spec.sigma2 * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
 
 
-def simulate_fractional_noise(spec: FractionalNoiseSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Exact Gaussian sample by sequential conditional draws.
+class EmbeddingError(ValueError):
+    """The circulant embedding of an autocovariance has a negative eigenvalue."""
 
-    The Durbin-Levinson recursion supplies the one-step prediction
-    coefficients and innovation variances from the theoretical
-    autocorrelations, so no burn-in is needed: x_t is drawn from its exact
-    conditional law given x_1..x_{t-1}.
+
+def simulate_fractional_noise(spec: FractionalNoiseSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Exact Gaussian sample by circulant embedding (Davies & Harte 1987).
+
+    gamma(0..n-1) is embedded in the ring (gamma(0..n-1), gamma(n-2..1)) of
+    length M = 2(n-1), whose circulant matrix has eigenvalues rfft(ring).
+    The first n values of an irfft of M standard normals, each scaled by the
+    square root of its eigenvalue, have covariance exactly
+    toeplitz(gamma(0..n-1)).  The eigenvalues are nonnegative for |d| < 1/2
+    (Craigmile 2003); a negative one raises EmbeddingError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = rng.generator().standard_normal(n)
-    gamma0 = fn_variance(spec)
-    if spec.d == 0.0:
-        return math.sqrt(gamma0) * z
-    rho = fn_autocorrelations(spec.d, n - 1)
-    x = np.empty(n)
-    x[0] = math.sqrt(gamma0) * z[0]
-    if n == 1:
-        return x
-    phi = np.empty(n - 1)
-    phi[0] = rho[1]
-    v = 1.0 - rho[1] ** 2
-    x[1] = phi[0] * x[0] + math.sqrt(gamma0 * v) * z[1]
-    for t in range(2, n):
-        # reflection coefficient at order t, then one-step coefficient update
-        pk = (rho[t] - np.dot(phi[: t - 1], rho[t - 1 : 0 : -1])) / v
-        phi[: t - 1] -= pk * phi[t - 2 :: -1]
-        phi[t - 1] = pk
-        v *= 1.0 - pk * pk
-        mean = np.dot(phi[:t], x[t - 1 :: -1])
-        x[t] = mean + math.sqrt(gamma0 * v) * z[t]
-    return x
+    gamma = fn_variance(spec) * fn_autocorrelations(spec.d, n - 1)
+    ring = np.concatenate((gamma, gamma[-2:0:-1]))
+    lam = np.fft.rfft(ring).real
+    if lam.min() < 0.0:
+        raise EmbeddingError(f"circulant embedding of d={spec.d}, n={n} has a negative "
+                             f"eigenvalue {lam.min():.3e}")
+    z = rng.generator().standard_normal(ring.size)
+    # Hermitian spectrum: real parts z[:k], imaginary parts z[k:] for the
+    # interior frequencies, whose real and imaginary parts share the variance
+    k = lam.size
+    w = z[:k].astype(complex)
+    w[1 : k - 1] += 1j * z[k:]
+    var = lam / 2.0
+    var[[0, -1]] = lam[[0, -1]]
+    return np.fft.irfft(np.sqrt(var) * w, ring.size, norm="ortho")[:n]

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .arma import ArmaSpec
-from .diagnostics import PortmanteauValue, portmanteau_table, residual_acf
+from .diagnostics import PortmanteauValue, ResidualAcf, portmanteau_table, residual_acf
 from .estimation import FitOptions, FittedModel, css_residuals, fit_arma
 from .generators import RngStream, simulate_arma
 
@@ -55,6 +55,7 @@ class McGridResult:
     fitted: FittedModel
     N: int
     failed_replicates: int
+    observed_acf: ResidualAcf  # of fitted.residuals, lags 1..max(m)
 
 
 def _observed_fit(x: np.ndarray, p, q, known_spec, fit_options) -> FittedModel:
@@ -159,7 +160,8 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
         parent_key = ()
 
     fitted = _observed_fit(x, p, q, known_spec, fit_options)
-    table = portmanteau_table(residual_acf(fitted.residuals, max(m_list)), m_list, kinds)
+    observed_acf = residual_acf(fitted.residuals, max(m_list))
+    table = portmanteau_table(observed_acf, m_list, kinds)
     # one observed value per replicate column, in the (m, kind) order of the table's rows
     observed = [PortmanteauValue(statistic=float(table[i, j]), kind=kind, m=m, fit_count=p + q)
                 for i, m in enumerate(m_list) for j, kind in enumerate(kinds)]
@@ -178,7 +180,8 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
         cells[(obs.m, obs.kind)] = McTestResult(
             observed=obs, N=N, k=k, p_value=(k + 1) / (N + 1),
             failed_replicates=failures, statistic_kind=obs.kind, master_seed=master_seed)
-    return McGridResult(cells=cells, fitted=fitted, N=N, failed_replicates=failures)
+    return McGridResult(cells=cells, fitted=fitted, N=N, failed_replicates=failures,
+                        observed_acf=observed_acf)
 
 
 def mc_portmanteau_test(series, p: int, q: int, m: int, N: int,

@@ -40,7 +40,7 @@ from .asymptotic import (
     imhof_quantile,
     lambda_spectrum,
 )
-from .diagnostics import ljung_box, residual_acf
+from .diagnostics import ljung_box
 from .estimation import FitOptions
 from .generators import (
     FractionalNoiseSpec,
@@ -435,8 +435,7 @@ def _rejection_rows(simulate, m_list, kinds, fit_p: int, fit_q: int, N: int, kno
             errors=(ValueError, ReplicateFailedError))
         row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
         if want_chi2:
-            acf = residual_acf(grid.fitted.residuals, max(m_list))
-            row += [ljung_box(acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+            row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
         rows.append(row)
         failures += failed + grid.failed_replicates
     return rows, failures

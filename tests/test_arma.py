@@ -13,6 +13,7 @@ from gvport.arma import (
     pacf_to_coeffs,
     poly_root_moduli,
     psi_weights_reciprocal,
+    step_up_jacobian,
     theoretical_acvf,
 )
 
@@ -70,6 +71,17 @@ class TestAdmissibility:
         assert not is_admissible_poly(pacf_to_coeffs([0.3, 1.0 - 5e-9]))
         assert not is_admissible_poly(pacf_to_coeffs([0.3, -0.999]), margin=0.01)
 
+    def test_step_up_jacobian_matches_central_differences(self):
+        g = np.array([0.5, -0.3, 0.7, 0.2])
+        a, D = step_up_jacobian(g)
+        np.testing.assert_array_equal(a, pacf_to_coeffs(g))
+        h = 1e-6
+        for j in range(g.size):
+            e = np.zeros(g.size)
+            e[j] = h
+            fd = (pacf_to_coeffs(g + e) - pacf_to_coeffs(g - e)) / (2 * h)
+            np.testing.assert_allclose(D[:, j], fd, atol=1e-9)
+
     def test_step_down_matches_root_moduli_away_from_the_boundary(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -97,8 +109,21 @@ class TestPsiWeights:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             psi_weights_reciprocal((0.5,), 0)
+        with pytest.raises(ValueError):
+            arma_psi_weights(ArmaSpec(ar=(0.5,)), 0)
 
-    @settings(deadline=None, max_examples=50)
+    def test_transfer_function_weights(self):
+        # pure MA: the weights are the MA polynomial, then zeros
+        np.testing.assert_array_equal(arma_psi_weights(ArmaSpec(ma=(0.4, -0.2)), 5),
+                                      [1.0, -0.4, 0.2, 0.0, 0.0])
+        np.testing.assert_array_equal(arma_psi_weights(ArmaSpec(ma=(0.4, -0.2)), 2), [1.0, -0.4])
+        # ARMA(1,1): psi_j = (phi - theta) phi^(j-1) for j >= 1
+        phi, theta = 0.7, 0.3
+        got = arma_psi_weights(ArmaSpec(ar=(phi,), ma=(theta,)), 8)
+        want = np.concatenate(([1.0], (phi - theta) * phi ** np.arange(7)))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    @settings(deadline=None, max_examples=50, derandomize=True)
     @given(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5), st.integers(5, 40))
     def test_convolution_identity(self, pacf, count):
         # (1 - sum c_i B^i) * psi(B) = 1, coefficient-wise to 1e-12

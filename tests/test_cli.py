@@ -104,6 +104,11 @@ class TestCmdAsymptotic:
         rc = main(["asymptotic", "--p", "1", "--q", "0", "--phi", "1.2", "--m", "5"])
         assert rc == 2
 
+    def test_zero_m_is_usage_error(self, capsys):
+        assert main(["asymptotic", "--m", "0"]) == 1
+        assert main(["asymptotic", "--p", "1", "--phi", "0.5", "--m", "0"]) == 1
+        assert "--m >= 1" in capsys.readouterr().err
+
 
 class TestCmdTest:
     def test_white_noise_json_output(self, white_noise_file, capsys):
@@ -171,6 +176,12 @@ class TestCmdTest:
     def test_usage_error_exit_code(self):
         assert main(["test"]) == 1
         assert main(["bogus-command"]) == 1
+
+    def test_bad_orders_are_usage_errors(self, white_noise_file, capsys):
+        path, _ = white_noise_file
+        assert main(["test", "--file", path, "--m", "0", "5", "--N", "19"]) == 1
+        assert main(["test", "--file", path, "--p", "-1", "--m", "5", "--N", "19"]) == 1
+        assert "--p, --q >= 0" in capsys.readouterr().err
 
 
 class TestCmdStudy:

@@ -5,6 +5,7 @@ from scipy import stats
 
 from gvport.arma import ArmaSpec, NotAdmissibleError
 from gvport.generators import (
+    EmbeddingError,
     FractionalNoiseSpec,
     GarchSpec,
     RngStream,
@@ -203,13 +204,21 @@ class TestSimulateFractionalNoise:
         # long memory biases the sample acf downward ~n^{2d-1}; allow for it
         assert r1 == pytest.approx(fn_autocorrelations(0.25, 1)[1], abs=0.03)
 
+    def test_negative_embedding_eigenvalue_is_typed_error(self, monkeypatch):
+        import gvport.generators as generators
+
+        # the ring (1, 0.9, -0.9, 0.9) has eigenvalue 1 - 3 * 0.9 < 0
+        monkeypatch.setattr(generators, "fn_autocorrelations",
+                            lambda d, max_lag: np.array([1.0, 0.9, -0.9]))
+        with pytest.raises(EmbeddingError, match="negative eigenvalue"):
+            simulate_fractional_noise(FractionalNoiseSpec(d=0.3), 3, RngStream(0))
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             FractionalNoiseSpec(d=0.5)
         with pytest.raises(ValueError):
             FractionalNoiseSpec(d=0.1, sigma2=0.0)
 
-    @pytest.mark.slow
     def test_lag1_autocorrelation_large_sample(self):
         # band = |bias| + 3 sd measured at development time (bias ~ -0.006,
         # sd ~ 0.005 at n=1e5)
@@ -217,6 +226,40 @@ class TestSimulateFractionalNoise:
         xc = x - x.mean()
         r1 = np.dot(xc[1:], xc[:-1]) / np.dot(xc, xc)
         assert r1 == pytest.approx(0.428571, abs=0.021)
+
+
+class TestCirculantEmbeddingOracle:
+    """The sampler is linear in its normals z: x = A z.  Feeding the unit
+    vectors e_i recovers A column by column, and A A' must be the exact
+    covariance toeplitz(gamma(0..n-1))."""
+
+    @pytest.mark.parametrize("d", [-0.45, -0.3, 0.0, 0.3, 0.45])
+    @pytest.mark.parametrize("n", [2, 3, 60])
+    def test_covariance_is_exact(self, monkeypatch, d, n):
+        from scipy.linalg import toeplitz
+
+        M = 2 * (n - 1)
+        unit = {}
+
+        class UnitNormals:
+            def standard_normal(self, count):
+                assert count == M
+                return np.eye(M)[unit["i"]]
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: UnitNormals())
+        spec = FractionalNoiseSpec(d=d, sigma2=1.3)
+        columns = []
+        for i in range(M):
+            unit["i"] = i
+            columns.append(simulate_fractional_noise(spec, n, RngStream(0)))
+        A = np.column_stack(columns)
+        want = toeplitz(fn_variance(spec) * fn_autocorrelations(d, n - 1))
+        err = np.max(np.abs(A @ A.T - want)) / np.max(np.abs(want))
+        assert err <= 1e-12
+
+    def test_single_value(self):
+        x = simulate_fractional_noise(FractionalNoiseSpec(d=0.3), 1, RngStream(14, 0))
+        assert x.shape == (1,) and np.isfinite(x[0])
 
 
 class TestCrossGeneratorReproducibility:
