@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import lfilter, lfiltic
 
 # Margin on the step-down partial autocorrelations: a polynomial counts as
 # admissible when every partial lies in (-1 + PACF_MARGIN, 1 - PACF_MARGIN).
@@ -198,7 +198,8 @@ def theoretical_acvf(spec: ArmaSpec, max_lag: int) -> np.ndarray:
     """Autocovariances gamma(0..max_lag) of the stationary ARMA process.
 
     Solves the (p+1)-dimensional linear system tying gamma(0..p) to the
-    transfer-function weights and sigma2, then extends by the AR recursion.
+    transfer-function weights and sigma2, then extends by the AR recursion
+    (one lfilter call started from gamma(p..1)).
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
@@ -221,12 +222,11 @@ def theoretical_acvf(spec: ArmaSpec, max_lag: int) -> np.ndarray:
         rhs[k] = b[k] if k <= q else 0.0
     head = np.linalg.solve(A, rhs)
 
-    gamma = np.zeros(max_lag + 1)
-    upto = min(p, max_lag)
-    gamma[: upto + 1] = head[: upto + 1]
-    for k in range(p + 1, max_lag + 1):
-        acc = b[k] if k <= q else 0.0
-        if p:
-            acc += np.dot(phi, gamma[k - p : k][::-1])
-        gamma[k] = acc
-    return gamma
+    if max_lag <= p:
+        return head[: max_lag + 1]
+    # gamma(k) = sum_i phi_i gamma(k-i) + b_k for k > p, with b_k = 0 past q
+    drive = np.zeros(max_lag + 1)
+    drive[: min(q, max_lag) + 1] = b[: max_lag + 1]
+    ar_poly = np.concatenate(([1.0], -phi))
+    tail, _ = lfilter([1.0], ar_poly, drive[p + 1 :], zi=lfiltic([1.0], ar_poly, head[:0:-1]))
+    return np.concatenate((head, tail))

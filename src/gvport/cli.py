@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -245,6 +246,9 @@ def cmd_asymptotic(args) -> int:
         return EXIT_USAGE
     if args.x is not None and args.quantile is not None:
         print("error: give either --x or --quantile, not both", file=sys.stderr)
+        return EXIT_USAGE
+    if args.x is not None and not math.isfinite(args.x):
+        print(f"error: --x must be a finite number, got {args.x}", file=sys.stderr)
         return EXIT_USAGE
     try:
         spec = ArmaSpec(ar=tuple(args.phi), ma=tuple(args.theta))

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from gvport.arma import ArmaSpec
 from gvport.asymptotic import (
+    EIGENVALUE_FLOOR,
     EigenSpectrum,
     InfeasibleGammaError,
     RankDeficientError,
@@ -24,6 +26,14 @@ from gvport.asymptotic import (
     q_matrix,
     x_matrix,
 )
+from gvport.asymptotic import _truncation_point
+from gvport.estimation import fit_arma
+from gvport.generators import RngStream, simulate_arma
+
+# a quadrature that loses accuracy must fail the test, not print a warning
+imhof_strict = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+TAIL_TOL = 1e-9
+GRID = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
 
 
 def gamma_upper_tail_series(a: float, rate: float, x: float) -> float:
@@ -46,6 +56,79 @@ def gamma_upper_tail_series(a: float, rate: float, x: float) -> float:
         if term < 1e-18 * total or k > 100000:
             break
     return 1.0 - math.exp(log_pref) * total
+
+
+def reference_integral(x: float, lam, lo: float, hi: float) -> float:
+    """int_lo^hi sin(theta(u)) / (u rho(u)) du by scalar adaptive quadrature.
+
+    theta(u) = (1/2) sum arctan(lambda u) - x u/2, rho(u) = prod (1 + lambda^2
+    u^2)^{1/4}.  hi = inf runs `quad` directly to 200 periods of the
+    oscillation and a sin/cos-weighted Fourier integral beyond.
+    """
+    lam = np.asarray(lam, dtype=float)
+
+    def phase(u):
+        return 0.5 * float(np.sum(np.arctan(lam * u)))
+
+    def rho(u):
+        return math.exp(0.25 * float(np.sum(np.log1p((lam * u) ** 2))))
+
+    def integrand(u):
+        return math.sin(phase(u) - 0.5 * x * u) / (u * rho(u))
+
+    omega = 0.5 * x
+    direct_hi = min(hi, max(lo, 200.0 * 2.0 * math.pi / omega))
+    total = 0.0
+    if direct_hi > lo:
+        total, _ = quad(integrand, lo, direct_hi, epsabs=1e-12, epsrel=1e-10, limit=2000)
+    if direct_hi < hi:
+        # sin(theta) = sin(phase)cos(omega u) - cos(phase)sin(omega u)
+        ic, _ = quad(lambda u: math.sin(phase(u)) / (u * rho(u)), direct_hi, np.inf,
+                     weight="cos", wvar=omega, epsabs=1e-12, limlst=300, limit=500)
+        is_, _ = quad(lambda u: math.cos(phase(u)) / (u * rho(u)), direct_hi, np.inf,
+                      weight="sin", wvar=omega, epsabs=1e-12, limlst=300, limit=500)
+        total += ic - is_
+    return total
+
+
+def reference_upper_tail(x: float, lam) -> float:
+    """P(sum lambda_r chi2_1 > x) by the scalar-quad inversion the package used to ship.
+
+    Truncates at Imhof's bound over all K weights,
+    [pi (K/2) U^{K/2} prod sqrt(lambda)]^{-1} = TAIL_TOL, unless U lies past
+    200 periods, where reference_integral switches to its Fourier tail.
+    """
+    lam = np.asarray(lam, dtype=float)
+    lam = lam[lam > EIGENVALUE_FLOOR]
+    K = lam.size
+    log_u = (2.0 / K) * -(math.log(math.pi) + math.log(K / 2.0)
+                          + 0.5 * float(np.sum(np.log(lam))) + math.log(TAIL_TOL))
+    U = math.exp(min(log_u, 700.0))
+    hi = U if U <= 200.0 * 2.0 * math.pi / (0.5 * x) else np.inf
+    return 0.5 + reference_integral(x, lam, 0.0, hi) / math.pi
+
+
+def arma11_table_spectra():
+    """The 30 ARMA(1,1) m=10 spectra of the published gamma-distortion table."""
+    return {(phi, theta): lambda_spectrum(ArmaSpec(ar=(phi,), ma=(theta,)), 10).lambdas
+            for phi in GRID for theta in GRID if phi != theta}
+
+
+def fitted_arma11_spectra():
+    """Spectra of an ARMA(1,1) CSS fit to one simulated n=200 series, m from 5 to 50."""
+    x = simulate_arma(ArmaSpec(ar=(0.7,), ma=(-0.3,)), 200, RngStream(77, 0))
+    spec = fit_arma(x, 1, 1).spec
+    return {m: lambda_spectrum(spec, m).lambdas for m in (5, 10, 20, 35, 50)}
+
+
+def random_spectra(count: int = 8):
+    """Criterion-2-style spectra: m in 1..20 weights uniform on (0.02, 1)."""
+    rng = np.random.default_rng(20241105)
+    out = []
+    for _ in range(count):
+        m = int(rng.integers(1, 21))
+        out.append(np.sort(rng.uniform(0.02, 1.0, size=m))[::-1])
+    return out
 
 
 def spectrum_from(lambdas):
@@ -165,6 +248,7 @@ class TestLambdaSpectrum:
         assert np.all(lam >= 0.0) and np.all(lam <= 1.0 + 1e-12)
 
 
+@imhof_strict
 class TestImhofCdf:
     def test_chi2_1_quantile(self):
         x = stats.chi2.ppf(0.95, 1)
@@ -220,6 +304,85 @@ class TestImhofCdf:
         for p in (0.05, 0.5, 0.95, 0.99):
             x = imhof_quantile(p, lam)
             assert imhof_cdf(x, lam) == pytest.approx(p, abs=1e-8)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            imhof_cdf(float("nan"), spectrum_from([1.0, 0.5]))
+
+    def test_infinity_is_one(self):
+        assert imhof_cdf(math.inf, spectrum_from([1.0, 0.5])) == 1.0
+        assert imhof_cdf(np.inf, np.array([0.3])) == 1.0
+
+    def test_unsorted_weights(self):
+        lam = np.array([0.2, 1.0, 0.5])
+        assert imhof_cdf(2.0, lam) == imhof_cdf(2.0, np.sort(lam)[::-1])
+
+    def test_quantile_on_wide_range_spectrum(self):
+        lam = spectrum_from([5.0, 1.0, 1e-3, 1e-6])
+        for p in (0.01, 0.5, 0.99):
+            assert imhof_cdf(imhof_quantile(p, lam), lam) == pytest.approx(p, abs=1e-9)
+
+
+@imhof_strict
+class TestImhofExactOracles:
+    def test_hypoexponential_closed_form(self):
+        # every weight twice: P(Q > x) = sum_i prod_{j!=i} l_i/(l_i - l_j) e^{-x/(2 l_i)}
+        distinct = (2.0, 1.0, 0.5)
+        lam = np.repeat(distinct, 2)
+        for x in (1.0, 5.0, 15.0, 40.0):
+            tail = sum(math.prod(li / (li - lj) for lj in distinct if lj != li)
+                       * math.exp(-x / (2.0 * li)) for li in distinct)
+            assert imhof_cdf(x, lam) == pytest.approx(1.0 - tail, abs=1e-10)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chi2_cdf(self, k):
+        for p in (0.01, 0.05, 0.5, 0.95, 0.99):
+            x = float(stats.chi2.ppf(p, k))
+            assert imhof_cdf(x, np.ones(k)) == pytest.approx(p, abs=1e-10)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_chi2_quantile(self, k):
+        for p in (0.01, 0.05, 0.5, 0.95, 0.99):
+            want = float(stats.chi2.ppf(p, k))
+            assert imhof_quantile(p, np.ones(k)) == pytest.approx(want, rel=1e-9)
+
+
+@imhof_strict
+class TestImhofAgainstReference:
+    """The panel inversion against the scalar-quad reference, to 1e-9."""
+
+    FRACTIONS = (0.05, 0.3, 1.0, 2.0, 4.0)
+
+    def _assert_matches(self, lam):
+        lam = np.asarray(lam, dtype=float)
+        total = float(np.sum(lam))
+        for f in self.FRACTIONS:
+            x = f * total
+            got = 1.0 - imhof_cdf(x, lam)
+            assert got == pytest.approx(reference_upper_tail(x, lam), abs=1e-9), (lam, x)
+
+    def test_published_table_spectra(self):
+        for lam in arma11_table_spectra().values():
+            self._assert_matches(lam)
+
+    def test_fitted_arma11_spectra(self):
+        for lam in fitted_arma11_spectra().values():
+            self._assert_matches(lam)
+
+    def test_random_spectra(self):
+        for lam in random_spectra():
+            self._assert_matches(lam)
+
+    def test_integral_beyond_truncation_point(self):
+        spectra = [*arma11_table_spectra().values(), *fitted_arma11_spectra().values(),
+                   *random_spectra()]
+        for lam in spectra:
+            lam = np.sort(lam[lam > EIGENVALUE_FLOOR])[::-1]
+            U = _truncation_point(lam, TAIL_TOL)
+            for f in (0.05, 1.0, 4.0):
+                x = f * float(np.sum(lam))
+                beyond = reference_integral(x, lam, U, np.inf) / math.pi
+                assert abs(beyond) <= TAIL_TOL, (lam, x, U)
 
 
 class TestGammaParams:

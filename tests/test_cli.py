@@ -109,6 +109,14 @@ class TestCmdAsymptotic:
         assert main(["asymptotic", "--p", "1", "--phi", "0.5", "--m", "0"]) == 1
         assert "--m >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_is_usage_error(self, x, capsys):
+        rc = main(["asymptotic", "--p", "1", "--phi", "0.5", "--m", "5", f"--x={x}", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--x must be a finite number" in captured.err
+
 
 class TestCmdTest:
     def test_white_noise_json_output(self, white_noise_file, capsys):
