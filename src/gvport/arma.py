@@ -115,19 +115,37 @@ def pacf_to_coeffs(pacf) -> np.ndarray:
 
 
 def step_up_jacobian(g) -> tuple[np.ndarray, np.ndarray]:
-    """pacf_to_coeffs(g) and its Jacobian d coeffs / d g, by forward differentiation."""
-    k = g.size
-    a = np.zeros(k)
-    D = np.zeros((k, k))
+    """pacf_to_coeffs(g) and its Jacobian d coeffs / d g, by forward differentiation.
+
+    g may carry leading batch axes (..., k); each vector is stepped up alone.
+    """
+    k = g.shape[-1]
+    a = np.zeros(g.shape)
+    D = np.zeros(g.shape + (k,))
     for j in range(k):
         if j:
-            rev = a[j - 1 :: -1].copy()
-            D[:j] = D[:j] - g[j] * D[j - 1 :: -1]
-            D[:j, j] -= rev
-            a[:j] -= g[j] * rev
-        a[j] = g[j]
-        D[j, j] = 1.0
+            rev = a[..., j - 1 :: -1].copy()
+            D[..., :j, :] = D[..., :j, :] - g[..., j, None, None] * D[..., j - 1 :: -1, :]
+            D[..., :j, j] -= rev
+            a[..., :j] -= g[..., j, None] * rev
+        a[..., j] = g[..., j]
+        D[..., j, j] = 1.0
     return a, D
+
+
+def _step_down_rows(C) -> np.ndarray:
+    """Levinson step-down (the Schur-Cohn test) of every row of C (rows, k).
+
+    Returns the partials of each row.  Once a row's stage leaves (-1, 1)
+    its lower stages are meaningless and may be non-finite.
+    """
+    a = np.array(C, dtype=float)
+    for j in range(a.shape[1] - 1, 0, -1):
+        # stage j leaves a[:, j] as its partial and steps the lower coefficients down
+        pj = a[:, j, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a[:, :j] = (a[:, :j] + pj * a[:, j - 1 :: -1]) / (1.0 - pj * pj)
+    return a
 
 
 def coeffs_to_pacf(coeffs) -> np.ndarray:
@@ -136,16 +154,17 @@ def coeffs_to_pacf(coeffs) -> np.ndarray:
     Requires an admissible coefficient vector; raises ValueError when a
     step-down stage leaves (-1, 1).
     """
-    a = np.asarray(coeffs, dtype=float).ravel().tolist()
-    pacf = a[:]
-    for j in range(len(a) - 1, -1, -1):
-        pj = a[j]
-        if not -1.0 < pj < 1.0:
-            raise ValueError(f"coefficient vector is not admissible (stage {j + 1})")
-        pacf[j] = pj
-        scale = 1.0 - pj * pj
-        a = [(c + pj * d) / scale for c, d in zip(a[:j], a[j - 1 :: -1])]
-    return np.array(pacf)
+    pacf = _step_down_rows(np.asarray(coeffs, dtype=float).reshape(1, -1))[0]
+    bad = np.flatnonzero(~(np.abs(pacf) < 1.0))
+    if bad.size:
+        # stages run from the highest order down; the highest bad one failed first
+        raise ValueError(f"coefficient vector is not admissible (stage {bad[-1] + 1})")
+    return pacf
+
+
+def admissible_rows(C, margin: float = PACF_MARGIN) -> np.ndarray:
+    """is_admissible_poly of every row of C (rows, k)."""
+    return (np.abs(_step_down_rows(C)) < 1.0 - margin).all(axis=1)
 
 
 def is_admissible_poly(coeffs, margin: float = PACF_MARGIN) -> bool:
@@ -155,10 +174,10 @@ def is_admissible_poly(coeffs, margin: float = PACF_MARGIN) -> bool:
     circle, so this decides admissibility exactly, without root finding.
     """
     try:
-        pacf = coeffs_to_pacf(_as_coeff_array(coeffs))
+        c = _as_coeff_array(coeffs)
     except ValueError:
         return False
-    return all(abs(pj) < 1.0 - margin for pj in pacf.tolist())
+    return bool(admissible_rows(c[None], margin)[0])
 
 
 def check_admissible(spec: ArmaSpec) -> bool:

@@ -200,6 +200,7 @@ def cmd_test(args) -> int:
         "statistic_kind": kind,
         "gamma_beta_convention": "rate",
         "failed_replicates": grid.failed_replicates,
+        "nonconverged_refits": grid.nonconverged_refits,
         "results": results,
     }
 
@@ -212,6 +213,8 @@ def cmd_test(args) -> int:
           f"ar={np.round(fitted.spec.ar, 4).tolist()} ma={np.round(fitted.spec.ma, 4).tolist()} "
           f"sigma2={fitted.spec.sigma2:.6g}  converged={fitted.converged}")
     print(f"Monte-Carlo: N={grid.N} replicates, statistic={kind}, seed={args.seed}")
+    if grid.nonconverged_refits:
+        print(f"note: {grid.nonconverged_refits} replicate refits did not converge")
     print()
     print(f"{'m':>4}  {'Q_m':>10} {'p(chi2)':>9}  {'D_m':>10} {'p(asym)':>9} "
           f"{'p(MC)':>7}  {'p(gamma)':>9}")

@@ -16,6 +16,8 @@ import numpy as np
 from scipy import stats
 
 STATISTIC_KINDS = ("ljung_box", "box_pierce", "d_hat", "d_mod")
+# roundoff allowance on |r(k)| <= 1
+ACF_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class ResidualAcf:
             raise ValueError("r must be a vector of length m")
         if not (1 <= self.m < self.n):
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        if np.any(np.abs(r) > 1.0 + 1e-12):
+        if np.any(np.abs(r) > 1.0 + ACF_SLACK):
             raise ValueError("autocorrelations must lie in [-1, 1]")
 
     def prefix(self, m: int) -> "ResidualAcf":
@@ -81,11 +83,32 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
+def acf_rows(A, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag 1..m autocorrelations of every row of A (rows, n), and each row's sum of squares.
+
+    r_i(k) = sum_{t>k} a_it a_i,t-k / sum_t a_it^2, one row-wise einsum per
+    lag; a row whose sum of squares is zero gets nan.
+    """
+    denom = np.einsum("ij,ij->i", A, A)
+    R = np.empty((A.shape[0], m))
+    for k in range(1, m + 1):
+        R[:, k - 1] = np.einsum("ij,ij->i", A[:, k:], A[:, :-k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R /= denom[:, None]
+    return R, denom
+
+
+def acf_rows_valid(R, denom) -> np.ndarray:
+    """Rows of acf_rows output that residual_acf would accept."""
+    return (denom != 0.0) & ~np.any(np.abs(R) > 1.0 + ACF_SLACK, axis=1)
+
+
 def residual_acf(residuals, m: int) -> ResidualAcf:
     """Lag 1..m autocorrelations r(k) = sum_{t>k} a_t a_{t-k} / sum_t a_t^2.
 
     The residuals enter as-is (no re-centering), so the estimate matches the
-    fitted-residual convention rather than the generic sample ACF.
+    fitted-residual convention rather than the generic sample ACF.  The
+    one-row case of acf_rows.
     """
     a = np.asarray(residuals, dtype=float)
     if a.ndim != 1:
@@ -93,13 +116,10 @@ def residual_acf(residuals, m: int) -> ResidualAcf:
     n = a.size
     if not (1 <= m < n):
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    denom = np.dot(a, a)
-    if denom == 0.0:
+    R, denom = acf_rows(a[None], m)
+    if denom[0] == 0.0:
         raise ValueError("residuals are identically zero; autocorrelation undefined")
-    r = np.empty(m)
-    for k in range(1, m + 1):
-        r[k - 1] = np.dot(a[k:], a[:-k]) / denom
-    return ResidualAcf(r=r, n=n, m=m)
+    return ResidualAcf(r=R[0], n=n, m=m)
 
 
 def ljung_box(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
@@ -132,31 +152,46 @@ def _chi2_pvalue(value: PortmanteauValue) -> float:
     return float(stats.chi2.sf(value.statistic, df))
 
 
+def durbin_levinson_rows(R) -> tuple[np.ndarray, np.ndarray]:
+    """Partial autocorrelations of every row of R (rows, m): one Durbin-Levinson pass over rows.
+
+    Returns (partials, lag): lag[i] is the first order whose partial leaves
+    (-1, 1) (nan included), 0 when there is none; the partials of row i
+    past lag[i] are meaningless.
+    """
+    R = np.asarray(R, dtype=float)
+    rows, m = R.shape
+    # reversed, contiguous: R_rev[:, m-k:] is r(k), ..., r(1)
+    R_rev = R[:, ::-1].copy()
+    partials = np.empty((rows, m))
+    phi = np.empty((rows, m))  # order-k prediction coefficients in phi[:, :k]
+    v = np.ones(rows)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            if k == 0:
+                pk = R[:, 0]
+            else:
+                pk = (R[:, k] - np.einsum("ij,ij->i", phi[:, :k], R_rev[:, m - k:])) / v
+                phi[:, :k] -= pk[:, None] * phi[:, k - 1 :: -1]
+            phi[:, k] = partials[:, k] = pk
+            v = v * (1.0 - pk * pk)
+    # every partial before a row's first bad one is valid, so that one is its failure
+    valid = np.logical_and.accumulate(np.abs(partials) < 1.0, axis=1).sum(axis=1)
+    return partials, np.where(valid < m, valid + 1, 0)
+
+
 def durbin_levinson_partials(r) -> np.ndarray:
-    """Partial autocorrelations from r(1..m).
+    """Partial autocorrelations from r(1..m): the one-row case of durbin_levinson_rows.
 
     Raises NotPositiveDefiniteError at the first order whose partial leaves
-    (-1, 1), reporting the determinant accumulated so far.  The recursion
-    runs on Python floats: for the short vectors here that is cheaper than
-    one numpy call per order.
+    (-1, 1), reporting the determinant accumulated so far.
     """
-    rho = np.asarray(r, dtype=float).tolist()
-    m = len(rho)
-    partials = np.zeros(m)
-    det_so_far = 1.0
-    phi = []  # order-k prediction coefficients
-    prev_v = 1.0
-    for k in range(m):
-        pk = rho[0] if k == 0 else (
-            rho[k] - sum([c * rj for c, rj in zip(phi, rho[k - 1 :: -1])])) / prev_v
-        if not abs(pk) < 1.0:  # also rejects nan
-            raise NotPositiveDefiniteError(lag=k + 1, det_so_far=det_so_far)
-        phi = [c - pk * d for c, d in zip(phi, phi[::-1])]
-        phi.append(pk)
-        partials[k] = pk
-        prev_v *= 1.0 - pk * pk
-        det_so_far *= prev_v
-    return partials
+    partials, lag = durbin_levinson_rows(np.asarray(r, dtype=float)[None])
+    lag = int(lag[0])
+    if lag:
+        det_so_far = np.prod(np.cumprod(1.0 - partials[0, : lag - 1] ** 2))
+        raise NotPositiveDefiniteError(lag=lag, det_so_far=float(det_so_far))
+    return partials[0]
 
 
 def toeplitz_corr_det(acf: ResidualAcf) -> tuple[float, np.ndarray]:
@@ -217,36 +252,53 @@ def portmanteau_statistic(acf: ResidualAcf, kind: str, fit_count: int = 0) -> Po
     raise ValueError(f"unsupported statistic kind {kind!r}")
 
 
-def portmanteau_table(acf: ResidualAcf, m_list, kinds) -> np.ndarray:
-    """Every (m, kind) statistic of one residual ACF in one pass up to M = max(m_list).
+def portmanteau_rows(R, n: int, m_list, kinds) -> tuple[np.ndarray, np.ndarray]:
+    """Every (m, kind) statistic of every row of R (rows, >= max m), one pass up to M = max(m_list).
 
-    Returns an array with one row per entry of m_list and one column per
-    entry of kinds ("d_hat", "ljung_box", "box_pierce").  Ljung-Box and
-    Box-Pierce are cumulative sums of their per-lag terms.  The
-    Durbin-Levinson partials of r(1..m) are a prefix of those of r(1..M),
-    so log det_m = sum_{k<=m} log v_k with v_k = prod_{j<=k} (1 - partial_j^2),
-    and D_m = -n expm1(log det_m / m).  The Durbin-Levinson pass runs only
-    when d_hat is requested; it raises NotPositiveDefiniteError when a
-    partial at any lag <= M leaves (-1, 1).
+    Returns (values, lag): values[i] has one row per entry of m_list and one
+    column per entry of kinds ("d_hat", "ljung_box", "box_pierce"); lag is
+    durbin_levinson_rows' failure lag (all 0 unless d_hat is requested),
+    and a row with lag > 0 has no valid d_hat.  Ljung-Box and Box-Pierce
+    are cumulative sums of their per-lag terms.  The Durbin-Levinson
+    partials of r(1..m) are a prefix of those of r(1..M), so
+    log det_m = sum_{k<=m} log v_k with v_k = prod_{j<=k} (1 - partial_j^2),
+    and D_m = -n expm1(log det_m / m).
     """
-    rows = np.asarray(m_list, dtype=int) - 1
-    M = int(rows.max()) + 1
-    if rows.min() < 0 or M > acf.m:
-        raise ValueError(f"lag counts must lie in 1..{acf.m}, got {tuple(m_list)}")
-    n = acf.n
-    r = acf.r[:M]
-    out = np.empty((rows.size, len(kinds)))
+    R = np.asarray(R, dtype=float)
+    idx = np.asarray(m_list, dtype=int) - 1
+    M = int(idx.max()) + 1
+    if idx.min() < 0 or M > R.shape[1]:
+        raise ValueError(f"lag counts must lie in 1..{R.shape[1]}, got {tuple(m_list)}")
+    r = R[:, :M]
+    lags = np.arange(1, M + 1)
+    out = np.empty((R.shape[0], idx.size, len(kinds)))
+    lag = np.zeros(R.shape[0], dtype=int)
     for col, kind in enumerate(kinds):
         if kind == "d_hat":
-            partials = durbin_levinson_partials(r)
-            log_det = np.cumsum(np.cumsum(np.log1p(-partials * partials)))
+            partials, lag = durbin_levinson_rows(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_det = np.cumsum(np.cumsum(np.log1p(-partials * partials), axis=1), axis=1)
             # roundoff can leave a tiny negative when det ~ 1
-            values = np.maximum(-n * np.expm1(log_det / np.arange(1, M + 1)), 0.0)
+            values = np.maximum(-n * np.expm1(log_det / lags), 0.0)
         elif kind == "ljung_box":
-            values = n * (n + 2.0) * np.cumsum(r * r / (n - np.arange(1, M + 1)))
+            values = n * (n + 2.0) * np.cumsum(r * r / (n - lags), axis=1)
         elif kind == "box_pierce":
-            values = n * np.cumsum(r * r)
+            values = n * np.cumsum(r * r, axis=1)
         else:
             raise ValueError(f"unsupported statistic kind {kind!r}")
-        out[:, col] = values[rows]
-    return out
+        out[:, :, col] = values[:, idx]
+    return out, lag
+
+
+def portmanteau_table(acf: ResidualAcf, m_list, kinds) -> np.ndarray:
+    """Every (m, kind) statistic of one residual ACF: the one-row case of portmanteau_rows.
+
+    Returns an array with one row per entry of m_list and one column per
+    entry of kinds.  The Durbin-Levinson pass runs only when d_hat is
+    requested; it raises NotPositiveDefiniteError when a partial at any
+    lag <= max(m_list) leaves (-1, 1).
+    """
+    values, lag = portmanteau_rows(acf.r[None], acf.n, m_list, kinds)
+    if lag[0]:
+        durbin_levinson_partials(acf.r[: lag[0]])  # raises, with the determinant so far
+    return values[0]

@@ -111,21 +111,34 @@ def arma_burn_in(spec: ArmaSpec) -> int:
     return _geometric_burn_in(1.0 / r, floor_extra=spec.q + 1)
 
 
-def simulate_arma(spec: ArmaSpec, n: int, rng: RngStream) -> np.ndarray:
-    """Gaussian realization of the ARMA spec, length n, mean added.
+def simulate_arma_rows(spec: ArmaSpec, n: int, streams) -> np.ndarray:
+    """One Gaussian realization of the ARMA spec per stream: rows of length n, mean added.
 
-    A stationary start is approximated by discarding a burn-in segment
-    sized from the slowest AR root (transient below 1e-10).
+    Each row draws its innovations from its own stream; one lfilter over
+    the rows then applies the spec.  A stationary start is approximated by
+    discarding a burn-in segment sized from the slowest AR root (transient
+    below 1e-10).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     require_admissible(spec)
     burn = arma_burn_in(spec)
-    a = rng.generator().standard_normal(n + burn) * math.sqrt(spec.sigma2)
+    a = np.empty((len(streams), n + burn))
+    for row, stream in zip(a, streams):
+        stream.generator().standard_normal(out=row)
+    a *= math.sqrt(spec.sigma2)
     b = np.concatenate(([1.0], -np.asarray(spec.ma)))
     den = np.concatenate(([1.0], -np.asarray(spec.ar)))
-    x = lfilter(b, den, a)
-    return x[burn:] + spec.mean
+    x = lfilter(b, den, a, axis=1)
+    return x[:, burn:] + spec.mean
+
+
+def simulate_arma(spec: ArmaSpec, n: int, rng: RngStream) -> np.ndarray:
+    """Gaussian realization of the ARMA spec, length n, mean added.
+
+    The one-row case of simulate_arma_rows.
+    """
+    return simulate_arma_rows(spec, n, [rng])[0]
 
 
 def simulate_garch(spec: GarchSpec, n: int, rng: RngStream) -> np.ndarray:

@@ -12,6 +12,20 @@ of how many workers execute the replicates.  `redraw` is that rule for
 every replicate loop, here and in the study runners, and `map_chunks` is
 the one place replicates are spread over worker processes.
 
+`replicate_rows` scores replicates in two phases.  Phase one takes blocks
+of at most BLOCK_ROWS consecutive streams (fewer when a block would hold
+more than BLOCK_VALUES simulated values) and runs attempt 0 of every row
+as arrays: one simulation, one batched refit (or one residual filter for a
+known spec), one autocorrelation pass and one Durbin-Levinson pass.  A row
+fails where the one-series path would raise ValueError: an inadmissible or
+impossible fit, zero residuals, an autocorrelation outside [-1, 1], or a
+partial outside (-1, 1).  Phase two redraws each failed row alone through
+`redraw`, from its stream's substream(1) on.  Every kernel computes a row
+from that row alone, with the same operations in the same order for any
+number of rows, so a row's statistics are bit-identical whether it is
+scored alone, in a short block or in a full one: results do not depend on
+block boundaries or on the number of workers.
+
 The grid runner computes several (m, statistic) pairs from one shared set
 of replicates; comparisons across statistics or lag counts are then paired,
 which is also how the power studies keep their differences free of
@@ -26,12 +40,31 @@ from functools import partial
 import numpy as np
 
 from .arma import ArmaSpec
-from .diagnostics import PortmanteauValue, ResidualAcf, portmanteau_table, residual_acf
-from .estimation import FitOptions, FittedModel, css_residuals, fit_arma
-from .generators import RngStream, simulate_arma
+from .diagnostics import (
+    PortmanteauValue,
+    ResidualAcf,
+    acf_rows,
+    acf_rows_valid,
+    portmanteau_rows,
+    portmanteau_table,
+    residual_acf,
+)
+from .estimation import (
+    FitOptions,
+    FittedModel,
+    css_residual_rows,
+    css_residuals,
+    fit_arma,
+    fit_arma_rows,
+)
+from .generators import RngStream, arma_burn_in, simulate_arma, simulate_arma_rows
 
 MC_STATISTICS = ("d_hat", "ljung_box", "box_pierce")
 REDRAW_ATTEMPTS = 10
+# Phase-one blocks: at most BLOCK_ROWS replicates and BLOCK_VALUES simulated
+# values (burn-in included), which bounds the memory of a block's arrays.
+BLOCK_ROWS = 128
+BLOCK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -56,6 +89,7 @@ class McGridResult:
     N: int
     failed_replicates: int
     observed_acf: ResidualAcf  # of fitted.residuals, lags 1..max(m)
+    nonconverged_refits: int  # scored replicates whose refit never converged
 
 
 def _observed_fit(x: np.ndarray, p, q, known_spec, fit_options) -> FittedModel:
@@ -71,15 +105,16 @@ class ReplicateFailedError(RuntimeError):
     the redraws of one MC test outnumbered its N replicates."""
 
 
-def redraw(stream: RngStream, simulate, score, errors=ValueError):
+def redraw(stream: RngStream, simulate, score, errors=ValueError, first: int = 0):
     """Draw on `stream`, then on stream.substream(1), (2), ... until `score` succeeds.
 
     `simulate(stream)` makes the candidate outside the `try`, so its errors
     propagate; `score(candidate)` raising one of `errors` fails the attempt.
-    Returns (score value, failed attempts).  Raises ReplicateFailedError
-    when all REDRAW_ATTEMPTS attempts fail.
+    Attempts before `first` count as already failed.  Returns (score value,
+    failed attempts).  Raises ReplicateFailedError when all REDRAW_ATTEMPTS
+    attempts fail.
     """
-    for attempt in range(REDRAW_ATTEMPTS):
+    for attempt in range(first, REDRAW_ATTEMPTS):
         candidate = simulate(stream if attempt == 0 else stream.substream(attempt))
         try:
             return score(candidate), attempt
@@ -90,12 +125,12 @@ def redraw(stream: RngStream, simulate, score, errors=ValueError):
 
 
 def map_chunks(worker, items, threads: int) -> tuple[list, int]:
-    """Run `worker(chunk) -> (rows, failures)` over contiguous chunks of `items`.
+    """Run `worker(chunk) -> (rows, counts)` over contiguous chunks of `items`.
 
     With threads > 1 the min(4 * threads, len(items)) chunks run in a
     process pool (the worker must pickle); otherwise one chunk runs in
-    process.  Rows are joined in item order and failures summed, so the
-    result does not depend on `threads`.
+    process.  Rows are joined in item order and the counts (an int or an
+    array of counts) summed, so the result does not depend on `threads`.
     """
     items = list(items)
     if threads <= 1 or len(items) < 2:
@@ -108,23 +143,57 @@ def map_chunks(worker, items, threads: int) -> tuple[list, int]:
     return [row for rows, _ in results for row in rows], sum(f for _, f in results)
 
 
-def redraw_rows(simulate, score, streams) -> tuple[list, int]:
-    """`redraw` on each stream in turn: (values, total failed attempts)."""
-    rows, failures = [], 0
-    for stream in streams:
-        row, failed = redraw(stream, simulate, score)
-        rows.append(row)
-        failures += failed
-    return rows, failures
+def _score_rows(m_list, kinds, p: int, q: int, known_spec, fit_options, X):
+    """Every (m, kind) statistic of each row of X, refitted (or filtered with `known_spec`).
 
-
-def replicate_score(m_list, kinds, p: int, q: int, known_spec, fit_options, sim) -> np.ndarray:
-    """Refit one simulated series (or filter it with `known_spec`); every (m, kind) statistic."""
+    Returns (statistics, nonconverged, ok): one statistics row per row of X
+    in (m, kind) order, whether its refit ended unconverged, and whether the
+    row could be scored at all.
+    """
     if known_spec is None:
-        resid = fit_arma(sim, p, q, fit_options).residuals
+        fits = fit_arma_rows(X, p, q, fit_options)
+        resid, nonconverged = fits.residuals, ~fits.converged
+        ok = np.array([err is None for err in fits.errors], dtype=bool)
     else:
-        resid = css_residuals(sim, known_spec)
-    return portmanteau_table(residual_acf(resid, max(m_list)), m_list, kinds).ravel()
+        resid = css_residual_rows(X, known_spec)
+        nonconverged, ok = np.zeros(len(X), dtype=bool), np.ones(len(X), dtype=bool)
+    R, denom = acf_rows(resid, max(m_list))
+    values, lag = portmanteau_rows(R, X.shape[1], m_list, kinds)
+    ok &= acf_rows_valid(R, denom) & (lag == 0)
+    return values.reshape(len(X), -1), nonconverged, ok
+
+
+def _score_one(score, x):
+    """`score` on the one-row block x; ValueError when the row fails."""
+    stats, nonconverged, ok = score(x[None])
+    if not ok[0]:
+        raise ValueError("replicate could not be scored")
+    return stats[0], bool(nonconverged[0])
+
+
+def replicate_rows(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int, known_spec,
+                   fit_options, streams) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics of the replicates drawn from `spec` on `streams`, in stream order.
+
+    Phase one scores attempt 0 of blocks of streams with _score_rows; phase
+    two redraws each failed row alone from substream(1) on.  Returns (one
+    statistics row per stream, [failed attempts, nonconverged refits]).
+    """
+    score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
+    size = max(1, min(BLOCK_ROWS, BLOCK_VALUES // (n + arma_burn_in(spec))))
+    out = np.empty((len(streams), len(m_list) * len(kinds)))
+    failures = nonconverged = 0
+    for start in range(0, len(streams), size):
+        block = streams[start : start + size]
+        stats, unconverged, ok = score(simulate_arma_rows(spec, n, block))
+        out[start : start + len(block)] = stats
+        nonconverged += int(np.sum(unconverged & ok))
+        for i in np.flatnonzero(~ok):
+            (out[start + i], unconverged_i), failed = redraw(
+                block[i], partial(simulate_arma, spec, n), partial(_score_one, score), first=1)
+            failures += failed
+            nonconverged += unconverged_i
+    return out, np.array([failures, nonconverged])
 
 
 def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
@@ -166,10 +235,11 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
     observed = [PortmanteauValue(statistic=float(table[i, j]), kind=kind, m=m, fit_count=p + q)
                 for i, m in enumerate(m_list) for j, kind in enumerate(kinds)]
 
-    worker = partial(redraw_rows, partial(simulate_arma, fitted.spec, x.size),
-                     partial(replicate_score, m_list, kinds, p, q, known_spec, fit_options))
+    worker = partial(replicate_rows, fitted.spec, x.size, m_list, kinds, p, q, known_spec,
+                     fit_options)
     streams = [RngStream(master_seed, i, parent_key=parent_key) for i in range(1, N + 1)]
-    rows, failures = map_chunks(worker, streams, threads)
+    rows, counts = map_chunks(worker, streams, threads)
+    failures, nonconverged = (int(c) for c in counts)
     if failures > N:
         raise ReplicateFailedError(f"{failures} replicate failures exceeded N={N}; aborting")
     stats = np.array(rows)
@@ -181,7 +251,7 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
             observed=obs, N=N, k=k, p_value=(k + 1) / (N + 1),
             failed_replicates=failures, statistic_kind=obs.kind, master_seed=master_seed)
     return McGridResult(cells=cells, fitted=fitted, N=N, failed_replicates=failures,
-                        observed_acf=observed_acf)
+                        observed_acf=observed_acf, nonconverged_refits=nonconverged)
 
 
 def mc_portmanteau_test(series, p: int, q: int, m: int, N: int,

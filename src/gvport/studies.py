@@ -50,14 +50,7 @@ from .generators import (
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import (
-    ReplicateFailedError,
-    map_chunks,
-    mc_portmanteau_grid,
-    redraw,
-    redraw_rows,
-    replicate_score,
-)
+from .mc import ReplicateFailedError, map_chunks, mc_portmanteau_grid, redraw, replicate_rows
 
 STUDY_KINDS = ("gamma_distortion", "convergence", "size", "power")
 QQ_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99)
@@ -103,14 +96,21 @@ class StudyReport:
         })
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
+        """The rows under CSV_HEADER; fields holding a comma (some model ids) are quoted."""
+        # imported on use, so that importing gvport does not load them
+        import csv
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
         for r in self.rows:
-            lines.append(",".join([
+            writer.writerow([
                 r["study"], r["model_id"], str(r["n"]), str(r["m"]),
                 _fmt(r["alpha"]), _fmt(r["estimate"]), _fmt(r["stderr"]),
                 str(r["R"]), str(r["N"]),
-            ]))
-        return "\n".join(lines) + "\n"
+            ])
+        return out.getvalue()
 
     def qq_csv_text(self) -> str:
         """Two numeric columns (asymptotic, empirical); blocks separated by comments."""
@@ -393,14 +393,16 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
             raise StudyConfigError("convergence study models must be ARMA descriptors")
         spectra = {m: lambda_spectrum(spec, m) for m in config.m_list}
         for n in config.n_list:
-            worker = partial(redraw_rows, partial(simulate_model, spec, n),
-                             partial(replicate_score, config.m_list, ("d_hat",), config.fit_p,
-                                     config.fit_q, None, FitOptions()))
+            worker = partial(replicate_rows, spec, n, config.m_list, ("d_hat",), config.fit_p,
+                             config.fit_q, None, FitOptions())
             streams = [RngStream(config.master_seed, outer).substream(0) for outer in range(R)]
-            rows, failures = map_chunks(worker, streams, threads)
+            rows, (failures, nonconverged) = map_chunks(worker, streams, threads)
             stats = np.array(rows)
             if failures:
                 report.warnings.append(f"{mid} n={n}: {failures} simulation fits redrawn")
+            if nonconverged:
+                report.warnings.append(f"{mid} n={n}: {nonconverged} simulation refits"
+                                       " did not converge")
             for c, m in enumerate(config.m_list):
                 col = stats[:, c]
                 for level in config.levels:
@@ -420,13 +422,14 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
 # size and power studies
 
 def _rejection_rows(simulate, m_list, kinds, fit_p: int, fit_q: int, N: int, known_spec,
-                    want_chi2: bool, roots) -> tuple[list, int]:
+                    want_chi2: bool, roots) -> tuple[list, np.ndarray]:
     """MC p-values (and chi-squared Ljung-Box p-values) for the outer replicates `roots`.
 
     Outer replicate `root` draws its series on root.substream(0) and its inner
-    replicates on root.substream(1..N).
+    replicates on root.substream(1..N).  Returns (rows, [redraws and failed
+    replicates, nonconverged replicate refits]).
     """
-    rows, failures = [], 0
+    rows, failures, nonconverged = [], 0, 0
     for root in roots:
         grid, failed = redraw(
             root.substream(0), simulate,
@@ -438,7 +441,8 @@ def _rejection_rows(simulate, m_list, kinds, fit_p: int, fit_q: int, N: int, kno
             row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
         rows.append(row)
         failures += failed + grid.failed_replicates
-    return rows, failures
+        nonconverged += grid.nonconverged_refits
+    return rows, np.array([failures, nonconverged])
 
 
 def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
@@ -457,10 +461,13 @@ def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
             worker = partial(_rejection_rows, partial(simulate_model, spec, n), config.m_list,
                              kinds, config.fit_p, config.fit_q, N, known, want_chi2)
             roots = [RngStream(config.master_seed, outer) for outer in range(R)]
-            rows, failures = map_chunks(worker, roots, threads)
+            rows, (failures, nonconverged) = map_chunks(worker, roots, threads)
             pvals = np.array(rows)
             if failures:
                 report.warnings.append(f"{mid} n={n}: {failures} replicate redraws/refit retries")
+            if nonconverged:
+                report.warnings.append(f"{mid} n={n}: {nonconverged} replicate refits"
+                                       " did not converge")
             for col, (label, m, n_mc) in enumerate(columns):
                 for level in config.levels:
                     est = float(np.mean(pvals[:, col] <= level))

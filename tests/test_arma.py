@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gvport.arma import (
     ArmaSpec,
     NotAdmissibleError,
+    admissible_rows,
     arma_psi_weights,
     check_admissible,
     is_admissible_poly,
@@ -56,6 +57,15 @@ class TestAdmissibility:
 
     def test_trailing_zeros_ignored(self):
         assert check_admissible(ArmaSpec(ar=(0.5, 0.0)))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+    def test_rows_agree_with_one_polynomial(self, k):
+        rng = np.random.default_rng(k)
+        C = rng.uniform(-1.6, 1.6, size=(400, k)) * rng.uniform(0.2, 1.0, size=(400, 1))
+        C[:5] = pacf_to_coeffs(np.full(k, 1.0 - 5e-9)) if k else C[:5]  # inside the margin
+        got = admissible_rows(C)
+        assert got.tolist() == [is_admissible_poly(c) for c in C]
+        assert 0 < got.sum() < 400 or k == 0
 
     def test_step_up_output_with_root_pair_near_unit_circle(self):
         # stationary by construction, yet a root pair sits within 1e-8 of the

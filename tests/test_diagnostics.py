@@ -7,11 +7,14 @@ from gvport.diagnostics import (
     NotPositiveDefinite,
     NotPositiveDefiniteError,
     ResidualAcf,
+    acf_rows,
     box_pierce,
     d_hat,
     d_mod,
     durbin_levinson_partials,
+    durbin_levinson_rows,
     ljung_box,
+    portmanteau_rows,
     portmanteau_table,
     residual_acf,
     toeplitz_corr_det,
@@ -281,3 +284,63 @@ class TestPortmanteauTable:
         sub = acf.prefix(2)
         assert (sub.n, sub.m) == (50, 2)
         np.testing.assert_array_equal(sub.r, [0.1, 0.2])
+
+
+class TestRowKernels:
+    """The batched kernels compute each row from that row alone."""
+
+    KINDS = ("d_hat", "ljung_box", "box_pierce")
+
+    def test_rows_do_not_depend_on_the_block(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((130, 97)) * rng.uniform(0.1, 10.0, size=(130, 1))
+        R, denom = acf_rows(A, 20)
+        P, lag = durbin_levinson_rows(R)
+        values, _ = portmanteau_rows(R, 97, (3, 20, 9), self.KINDS)
+        for size in (1, 7):
+            for start in range(0, 130, size):
+                block = slice(start, start + size)
+                R_b, denom_b = acf_rows(A[block], 20)
+                np.testing.assert_array_equal(R_b, R[block])
+                np.testing.assert_array_equal(denom_b, denom[block])
+                np.testing.assert_array_equal(durbin_levinson_rows(R_b)[0], P[block])
+                np.testing.assert_array_equal(
+                    portmanteau_rows(R_b, 97, (3, 20, 9), self.KINDS)[0], values[block])
+        assert not lag.any()
+
+    def test_one_row_functions_are_rows_of_the_kernels(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((12, 80))
+        R, _ = acf_rows(A, 15)
+        P, _ = durbin_levinson_rows(R)
+        values, _ = portmanteau_rows(R, 80, (5, 15), self.KINDS)
+        for i, a in enumerate(A):
+            acf = residual_acf(a, 15)
+            np.testing.assert_array_equal(acf.r, R[i])
+            np.testing.assert_array_equal(durbin_levinson_partials(acf.r), P[i])
+            np.testing.assert_array_equal(portmanteau_table(acf, (5, 15), self.KINDS), values[i])
+
+    def test_acf_matches_per_lag_dot_products(self):
+        a = np.random.default_rng(11).standard_normal(150)
+        want = [np.dot(a[k:], a[:-k]) / np.dot(a, a) for k in range(1, 11)]
+        np.testing.assert_allclose(residual_acf(a, 10).r, want, rtol=1e-13, atol=1e-16)
+
+    def test_failure_lag_per_row(self):
+        # row 0 valid, row 1 fails at order 2, row 2 at order 1 (r = 1), row 3 nan
+        R = np.array([[0.5, 0.25, 0.1], [0.9, 0.1, 0.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        _, lag = durbin_levinson_rows(R)
+        np.testing.assert_array_equal(lag, [0, 2, 1, 1])
+        values, lag_table = portmanteau_rows(R, 50, (1, 3), ("ljung_box", "d_hat"))
+        np.testing.assert_array_equal(lag_table, lag)
+        _, no_dl = portmanteau_rows(R, 50, (1, 3), ("ljung_box",))
+        assert not no_dl.any()
+        one = portmanteau_table(ResidualAcf(R[0], 50, 3), (3,), ("d_hat",))
+        assert values[0, 1, 1] == one[0, 0]
+
+    def test_zero_rows_flagged_by_denominator(self):
+        A = np.zeros((2, 10))
+        A[1, 0] = 1.0
+        R, denom = acf_rows(A, 3)
+        np.testing.assert_array_equal(denom, [0.0, 1.0])
+        assert np.all(np.isnan(R[0]))
+        np.testing.assert_array_equal(R[1], 0.0)

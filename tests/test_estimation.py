@@ -12,11 +12,14 @@ from gvport.diagnostics import residual_acf
 from gvport.estimation import (
     FitOptions,
     coeffs_to_pacf,
+    css_residual_rows,
     css_residuals,
     fit_arma,
+    fit_arma_rows,
+    inverse_ma_rows,
     pacf_to_coeffs,
 )
-from gvport.generators import RngStream, simulate_arma
+from gvport.generators import RngStream, simulate_arma, simulate_arma_rows
 
 
 class TestCssResiduals:
@@ -185,11 +188,14 @@ class TestLevenbergMarquardt:
     @pytest.mark.parametrize("order", sorted(CORPUS))
     def test_css_not_above_nelder_mead(self, order):
         p, q = order
-        for rep in range(15):
-            x = simulate_arma(self.CORPUS[order], 200, RngStream(4242, rep))
+        X = simulate_arma_rows(self.CORPUS[order], 200, [RngStream(4242, rep) for rep in range(15)])
+        batched = fit_arma_rows(X, p, q)
+        for i, x in enumerate(X):
+            nelder_mead = nelder_mead_css(x, p, q) * (1.0 + 1e-10)
             fit = fit_arma(x, p, q)
-            assert fit.converged
-            assert fit.css <= nelder_mead_css(x, p, q) * (1.0 + 1e-10)
+            assert fit.converged and batched.converged[i]
+            assert fit.css <= nelder_mead
+            assert batched.css[i] <= nelder_mead
 
     def test_stops_at_the_clip_with_an_admissible_spec(self):
         # over-differenced white noise: the CSS MA(1) estimate often runs into
@@ -205,7 +211,7 @@ class TestLevenbergMarquardt:
 
     def test_inadmissible_result_is_a_typed_value_error(self, monkeypatch):
         x = simulate_arma(ArmaSpec(ar=(0.5,)), 200, RngStream(9, 0))
-        monkeypatch.setattr(estimation, "check_admissible", lambda spec: False)
+        monkeypatch.setattr(estimation, "admissible_rows", lambda C: np.zeros(len(C), dtype=bool))
         with pytest.raises(NotAdmissibleError):
             fit_arma(x, 1, 0)
         assert issubclass(NotAdmissibleError, ValueError)
@@ -216,3 +222,68 @@ class TestLevenbergMarquardt:
         assert fit.converged and 1 <= fit.iterations <= 2 * 600
         capped = fit_arma(x, 1, 1, FitOptions(max_restarts=0, max_iter_factor=1))
         assert not capped.converged and capped.iterations == 2
+
+
+def random_ma(rng, rows, q):
+    """Admissible theta rows: step-up of partials drawn in (-0.95, 0.95)."""
+    return np.array([pacf_to_coeffs(rng.uniform(-0.95, 0.95, q)) for _ in range(rows)])
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [3, 200])  # lfilter row by row, and the loop over t
+    def test_inverse_ma_rows_bit_identical_to_lfilter(self, q, rows):
+        rng = np.random.default_rng(100 + q)
+        theta = random_ma(rng, rows, q)
+        X = rng.standard_normal((rows, 150)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        Y = inverse_ma_rows(X, theta)
+        assert Y.flags.c_contiguous
+        for i in range(rows):
+            np.testing.assert_array_equal(Y[i], lfilter([1.0], np.r_[1.0, -theta[i]], X[i]))
+
+    def test_css_residual_rows_are_css_residuals(self):
+        spec = ArmaSpec(ar=(0.6, -0.2), ma=(0.3,), mean=1.5)
+        X = simulate_arma_rows(spec, 120, [RngStream(6, i) for i in range(9)])
+        R = css_residual_rows(X, spec)
+        for x, r in zip(X, R):
+            np.testing.assert_array_equal(css_residuals(x, spec), r)
+
+    def test_rows_bit_identical_to_fit_arma_including_restarts(self):
+        # a tight iteration cap makes the slower rows restart, the others not
+        opts = FitOptions(max_restarts=2, max_iter_factor=5)
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,), ma=(-0.4,)), 200,
+                               [RngStream(12, i) for i in range(60)])
+        fits = fit_arma_rows(X, 1, 1, opts)
+        cap = opts.max_iter_factor * 2
+        restarted = fits.iterations > cap
+        assert restarted.any() and (~restarted).any()
+        assert (~fits.converged).any()
+        for i, x in enumerate(X):
+            one = fit_arma(x, 1, 1, opts)
+            assert one.spec.ar == (fits.ar[i, 0],) and one.spec.ma == (fits.ma[i, 0],)
+            assert one.css == fits.css[i]
+            assert one.iterations == fits.iterations[i]
+            assert one.converged == fits.converged[i]
+            assert one.spec.mean == fits.mean[i]
+            np.testing.assert_array_equal(one.residuals, fits.residuals[i])
+
+    def test_rows_do_not_depend_on_the_block(self):
+        X = simulate_arma_rows(ArmaSpec(ar=(0.3,), ma=(0.4, -0.2)), 150,
+                               [RngStream(13, i) for i in range(40)])
+        full = fit_arma_rows(X, 1, 2)
+        for start in range(0, 40, 7):
+            part = fit_arma_rows(X[start : start + 7], 1, 2)
+            np.testing.assert_array_equal(part.residuals, full.residuals[start : start + 7])
+            np.testing.assert_array_equal(part.iterations, full.iterations[start : start + 7])
+
+    def test_failing_rows_carry_fit_arma_errors(self):
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,)), 60, [RngStream(14, i) for i in range(4)])
+        X[1] = 3.0
+        X[2, 7] = np.inf
+        fits = fit_arma_rows(X, 1, 0)
+        assert fits.errors[0] is None and fits.errors[3] is None
+        assert "constant" in str(fits.errors[1])
+        assert "non-finite" in str(fits.errors[2])
+        np.testing.assert_array_equal(fits.residuals[3], fit_arma(X[3], 1, 0).residuals)
+        short = fit_arma_rows(X[:, :20], 1, 0)
+        assert all("fitting minimum" in str(err) for err in short.errors)

@@ -1,7 +1,10 @@
 """Generator tests: reproducible streams, ARMA/GARCH/fractional-noise samplers."""
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter
 
 from gvport.arma import ArmaSpec, NotAdmissibleError
 from gvport.generators import (
@@ -13,6 +16,7 @@ from gvport.generators import (
     fn_autocorrelations,
     fn_variance,
     simulate_arma,
+    simulate_arma_rows,
     simulate_fractional_noise,
     simulate_garch,
 )
@@ -73,6 +77,20 @@ class TestSimulateArma:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             simulate_arma(ArmaSpec(), 0, RngStream(0, 0))
+
+    def test_block_rows_bit_identical_to_one_series_recursion(self):
+        # each row is the one-series recipe: its own stream's innovations,
+        # scaled, filtered alone, burn-in dropped, mean added
+        spec = ArmaSpec(ar=(0.7, -0.2), ma=(-0.3,), sigma2=1.7, mean=-2.0)
+        streams = [RngStream(41, i, parent_key=(3,)) for i in range(150)]
+        block = simulate_arma_rows(spec, 90, streams)
+        assert block.shape == (150, 90)
+        burn = arma_burn_in(spec)
+        for row, stream in zip(block, streams):
+            a = stream.generator().standard_normal(90 + burn) * math.sqrt(spec.sigma2)
+            want = lfilter([1.0, 0.3], [1.0, -0.7, 0.2], a)[burn:] + spec.mean
+            np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(simulate_arma(spec, 90, streams[5]), block[5])
 
     def test_burn_in_grows_with_persistence(self):
         assert arma_burn_in(ArmaSpec()) == 200

@@ -1,17 +1,23 @@
 """Monte-Carlo test engine: p-value law, determinism, oracle-mode exactness."""
+from functools import partial
+
 import numpy as np
 import pytest
 
 import gvport.mc as mc_module
 from gvport.arma import ArmaSpec
+from gvport.diagnostics import portmanteau_table, residual_acf
+from gvport.estimation import FitOptions, css_residuals, fit_arma
 from gvport.generators import RngStream, simulate_arma
 from gvport.mc import (
     REDRAW_ATTEMPTS,
     ReplicateFailedError,
+    map_chunks,
     mc_portmanteau_grid,
     mc_portmanteau_test,
     mc_test_batch,
     redraw,
+    replicate_rows,
 )
 
 
@@ -110,17 +116,19 @@ class TestGrid:
 class TestFailureHandling:
     def test_refit_failures_redrawn_and_counted(self, monkeypatch):
         x = simulate_arma(ArmaSpec(ar=(0.5,)), 100, RngStream(7, 0))
-        real_fit = mc_module.fit_arma
+        real_fit = mc_module.fit_arma_rows
         calls = {"n": 0}
 
-        def flaky_fit(series, p, q, options):
-            calls["n"] += 1
-            # fail the first attempt of every third replicate fit
-            if calls["n"] % 3 == 0:
-                raise ValueError("synthetic refit failure")
-            return real_fit(series, p, q, options)
+        def flaky_fit(X, p, q, options):
+            fits = real_fit(X, p, q, options)
+            for i in range(len(X)):
+                calls["n"] += 1
+                # fail every third replicate refit, redraws included
+                if calls["n"] % 3 == 0:
+                    fits.errors[i] = ValueError("synthetic refit failure")
+            return fits
 
-        monkeypatch.setattr(mc_module, "fit_arma", flaky_fit)
+        monkeypatch.setattr(mc_module, "fit_arma_rows", flaky_fit)
         res = mc_portmanteau_test(x, 1, 0, 5, 20, master_seed=9)
         assert res.failed_replicates > 0
         assert res.N == 20
@@ -186,6 +194,13 @@ class TestRedraw:
                                lambda a: 1 / 0 if a == 0 else a, errors=ZeroDivisionError)
         assert (value, failed) == (1, 1)
 
+    def test_first_attempt_skips_earlier_streams(self):
+        keys = []
+        value, failed = redraw(RngStream(5, 2), self.keyed_simulate(keys),
+                               lambda a: a, first=1)
+        assert (value, failed) == (0, 1)
+        assert keys == [(2, 1)]
+
     def test_simulate_error_propagates_without_redraw(self):
         calls = []
 
@@ -236,3 +251,150 @@ class TestBatch:
         a = mc_test_batch(configs, parallelism=1)
         b = mc_test_batch(configs, parallelism=2)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the replicate engine before phase-one blocks, kept as a reference
+
+def reference_redraw_rows(simulate, score, streams) -> tuple[list, int]:
+    """`redraw` on each stream in turn: (values, total failed attempts)."""
+    rows, failures = [], 0
+    for stream in streams:
+        row, failed = redraw(stream, simulate, score)
+        rows.append(row)
+        failures += failed
+    return rows, failures
+
+
+def reference_replicate_score(m_list, kinds, p, q, known_spec, fit_options, sim, fit=fit_arma):
+    """Refit one simulated series (or filter it with `known_spec`); every (m, kind) statistic."""
+    if known_spec is None:
+        resid = fit(sim, p, q, fit_options).residuals
+    else:
+        resid = css_residuals(sim, known_spec)
+    return portmanteau_table(residual_acf(resid, max(m_list)), m_list, kinds).ravel()
+
+
+def unlucky(x) -> bool:
+    """Deterministic synthetic failure: about one series in five."""
+    return x[0] > 0.85
+
+
+class TestAgainstReferenceEngine:
+    M_LIST, KINDS = (4, 9), ("d_hat", "ljung_box")
+
+    @staticmethod
+    def record_keys(monkeypatch) -> list:
+        keys = []
+        real = RngStream.generator
+
+        def generator(self):
+            keys.append(self.key)
+            return real(self)
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+        return keys
+
+    def test_failures_redraw_keys_and_k_match(self, monkeypatch):
+        x = simulate_arma(ArmaSpec(ar=(0.5,)), 100, RngStream(21, 0))
+        N, seed = 150, 8  # crosses a block boundary
+
+        real_rows = mc_module.fit_arma_rows
+
+        def flaky_rows(X, p, q, options):
+            fits = real_rows(X, p, q, options)
+            for i in range(len(X)):
+                if unlucky(X[i]):
+                    fits.errors[i] = ValueError("synthetic refit failure")
+            return fits
+
+        def flaky_fit(series, p, q, options):
+            if unlucky(series):
+                raise ValueError("synthetic refit failure")
+            return fit_arma(series, p, q, options)
+
+        keys = self.record_keys(monkeypatch)
+        monkeypatch.setattr(mc_module, "fit_arma_rows", flaky_rows)
+        grid = mc_portmanteau_grid(x, 1, 0, self.M_LIST, N, kinds=self.KINDS, master_seed=seed)
+        new_keys = sorted(keys)
+        keys.clear()
+
+        streams = [RngStream(seed, i) for i in range(1, N + 1)]
+        score = partial(reference_replicate_score, self.M_LIST, self.KINDS, 1, 0, None,
+                        FitOptions(), fit=flaky_fit)
+        rows, failures = reference_redraw_rows(partial(simulate_arma, grid.fitted.spec, 100),
+                                               score, streams)
+        assert failures > 10
+        assert grid.failed_replicates == failures
+        assert new_keys == sorted(keys)
+        assert any(len(key) == 2 for key in new_keys)  # some rows were redrawn
+        stats = np.array(rows)
+        for col, (m, kind) in enumerate((m, k) for m in self.M_LIST for k in self.KINDS):
+            obs = grid.cells[(m, kind)].observed.statistic
+            assert grid.cells[(m, kind)].k == int(np.sum(stats[:, col] >= obs))
+
+    def test_oracle_mode_k_matches(self):
+        spec = ArmaSpec(ar=(0.4,), ma=(0.3,))
+        x = simulate_arma(spec, 80, RngStream(22, 0))
+        grid = mc_portmanteau_grid(x, 1, 1, self.M_LIST, 140, kinds=self.KINDS, master_seed=3,
+                                   known_spec=spec)
+        score = partial(reference_replicate_score, self.M_LIST, self.KINDS, 1, 1, spec,
+                        FitOptions())
+        rows, failures = reference_redraw_rows(partial(simulate_arma, spec, 80), score,
+                                               [RngStream(3, i) for i in range(1, 141)])
+        stats = np.array(rows)
+        assert grid.failed_replicates == failures == 0
+        for col, (m, kind) in enumerate((m, k) for m in self.M_LIST for k in self.KINDS):
+            obs = grid.cells[(m, kind)].observed.statistic
+            assert grid.cells[(m, kind)].k == int(np.sum(stats[:, col] >= obs))
+
+
+class TestBlocks:
+    ARGS = ((5, 12), ("d_hat", "ljung_box", "box_pierce"), 1, 1)
+
+    @pytest.mark.parametrize("known", [None, ArmaSpec(ar=(0.5,), ma=(-0.3,))])
+    def test_grid_identical_at_threads_1_and_2(self, known):
+        x = simulate_arma(ArmaSpec(ar=(0.5,), ma=(-0.3,)), 120, RngStream(23, 0))
+        one, two = (mc_portmanteau_grid(x, 1, 1, (5, 12), 129, kinds=("d_hat", "ljung_box"),
+                                        master_seed=4, known_spec=known, threads=t)
+                    for t in (1, 2))
+        assert one.cells == two.cells
+        assert (one.failed_replicates, one.nonconverged_refits) == (two.failed_replicates,
+                                                                    two.nonconverged_refits)
+
+    @pytest.mark.parametrize("known", [None, ArmaSpec(ar=(0.5,), ma=(-0.3,))])
+    def test_rows_identical_in_any_block(self, monkeypatch, known):
+        spec = ArmaSpec(ar=(0.5,), ma=(-0.3,))
+        streams = [RngStream(24, i) for i in range(1, 130)]
+        worker = partial(replicate_rows, spec, 100, *self.ARGS, known, FitOptions())
+        full, counts = worker(streams)
+        for size in (1, 7):
+            monkeypatch.setattr(mc_module, "BLOCK_ROWS", size)
+            rows, again = worker(streams)
+            np.testing.assert_array_equal(rows, full)
+            np.testing.assert_array_equal(again, counts)
+        chunked, _ = map_chunks(worker, streams, 2)
+        np.testing.assert_array_equal(np.array(chunked), full)
+
+
+class TestNonconvergedRefits:
+    def test_counted_without_moving_p_values(self):
+        x = simulate_arma(ArmaSpec(ar=(0.5,), ma=(-0.4,)), 150, RngStream(25, 0))
+        capped = FitOptions(max_iter_factor=1)
+        grid = mc_portmanteau_grid(x, 1, 1, (6,), 40, master_seed=5, fit_options=capped)
+        assert 0 < grid.nonconverged_refits <= 40
+        # the same refits, counted by hand
+        streams = [RngStream(5, i) for i in range(1, 41)]
+        sims = [simulate_arma(grid.fitted.spec, 150, s) for s in streams]
+        fits = [fit_arma(sim, 1, 1, capped) for sim in sims]
+        assert grid.nonconverged_refits == sum(not f.converged for f in fits)
+        stats = [portmanteau_table(residual_acf(f.residuals, 6), (6,), ("d_hat",))[0, 0]
+                 for f in fits]
+        cell = grid.cells[(6, "d_hat")]
+        assert cell.k == sum(s >= cell.observed.statistic for s in stats)
+
+    def test_zero_in_oracle_mode(self):
+        spec = ArmaSpec(ar=(0.5,))
+        x = simulate_arma(spec, 80, RngStream(26, 0))
+        grid = mc_portmanteau_grid(x, 1, 0, (5,), 19, known_spec=spec)
+        assert grid.nonconverged_refits == 0

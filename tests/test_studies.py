@@ -1,9 +1,16 @@
 """Study-harness tests: config validation, each study kind, determinism, outputs."""
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from gvport import studies
+from gvport.arma import ArmaSpec
+from gvport.estimation import FitOptions
+from gvport.generators import RngStream
+from gvport.mc import mc_portmanteau_grid, replicate_rows
 from gvport.studies import (
     QQ_PROBS,
     StudyConfig,
@@ -222,6 +229,40 @@ class TestConvergenceStudy:
         assert len(data_lines) == len(QQ_PROBS)
 
 
+class TestNonconvergedRefits:
+    """Replicate refits left unconverged by the iteration cap are reported, never dropped."""
+
+    CAPPED = FitOptions(max_iter_factor=1)
+
+    def test_convergence_study_warns(self, monkeypatch):
+        cfg = tiny_config(study="convergence", R=20, m=[6], n=[60], fit={"p": 1, "q": 1},
+                          models=[{"type": "arma", "ar": [0.5], "ma": [-0.4], "id": "arma11"}])
+        assert not any("did not converge" in w for w in run_convergence_study(cfg).warnings)
+        monkeypatch.setattr(studies, "FitOptions", lambda: self.CAPPED)
+        capped = run_convergence_study(cfg)
+        streams = [RngStream(cfg.master_seed, outer).substream(0) for outer in range(20)]
+        _, (_, count) = replicate_rows(ArmaSpec(ar=(0.5,), ma=(-0.4,)), 60, (6,), ("d_hat",),
+                                       1, 1, None, self.CAPPED, streams)
+        assert count > 0
+        assert f"arma11 n=60: {count} simulation refits did not converge" in capped.warnings
+
+    def test_rejection_study_warns(self, monkeypatch):
+        cfg = tiny_config(R=3, N=19, fit={"p": 1, "q": 1},
+                          models=[{"type": "arma", "ar": [0.5], "ma": [-0.4], "id": "arma11"}])
+        assert not any("did not converge" in w for w in run_size_study(cfg).warnings)
+        grids = []
+
+        def capped_grid(*args, **kwargs):
+            grids.append(mc_portmanteau_grid(*args, fit_options=self.CAPPED, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(studies, "mc_portmanteau_grid", capped_grid)
+        rep = run_size_study(cfg)
+        count = sum(g.nonconverged_refits for g in grids)
+        assert len(grids) == 3 and count > 0
+        assert f"arma11 n=60: {count} replicate refits did not converge" in rep.warnings
+
+
 class TestDeterminismAndOutputs:
     def test_byte_identical_across_threads(self):
         cfg = tiny_config(R=10, N=19)
@@ -272,6 +313,27 @@ class TestDeterminismAndOutputs:
         ja["metadata"].pop("timing_seconds"), jb["metadata"].pop("timing_seconds")
         ja["metadata"].pop("started_unix"), jb["metadata"].pop("started_unix")
         assert ja == jb
+
+    def test_every_study_csv_parses_to_the_header_width(self):
+        # ar2_sweep ids and multi-coefficient ARMA ids hold commas
+        reports = [
+            run_gamma_distortion_study(load_study_config({
+                "study": "gamma_distortion", "m": [10], "levels": [0.05],
+                "models": [{"type": "ar2_sweep", "phi2": -0.5, "points": 3},
+                           {"type": "arma", "ar": [0.5, 0.2], "ma": [0.1]}]})),
+            run_size_study(tiny_config(R=4, models=[{"type": "arma", "ar": [0.5, 0.2]}])),
+            run_power_study(tiny_config(study="power", R=3, N=19, models=[
+                {"type": "arma", "ar": [0.4], "ma": [0.3, -0.2]}])),
+            run_convergence_study(tiny_config(study="convergence", R=12, m=[6], n=[60], models=[
+                {"type": "arma", "ar": [0.5, -0.2]}])),
+        ]
+        for rep in reports:
+            table = list(csv.reader(io.StringIO(rep.csv_text())))
+            assert table[0] == "study,model_id,n,m,alpha,estimate,stderr,R,N".split(",")
+            assert len(table) == len(rep.rows) + 1
+            assert all(len(row) == 9 for row in table)
+            assert [row[1] for row in table[1:]] == [r["model_id"] for r in rep.rows]
+        assert any("," in r["model_id"] for rep in reports for r in rep.rows)
 
     def test_stderr_formula(self):
         cfg = tiny_config(R=40)
