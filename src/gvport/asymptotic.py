@@ -467,6 +467,13 @@ def gamma_distortion(spec: ArmaSpec, m: int, nominal: float = 0.05,
     if not 0.0 < nominal < 1.0:
         raise ValueError("nominal level must lie in (0, 1)")
     g = gamma_params(m, spec.p + spec.q)
-    xq = gamma_quantile(1.0 - nominal, g)
-    spectrum = lambda_spectrum(spec, m, covariance)
-    return 1.0 - imhof_cdf(xq, spectrum)
+    return gamma_test_size(g, lambda_spectrum(spec, m, covariance), nominal)
+
+
+def gamma_test_size(g: GammaApprox, spectrum, nominal: float = 0.05) -> float:
+    """gamma_distortion from an already computed surrogate and spectrum.
+
+    The exact asymptotic upper tail at the gamma quantile of 1 - nominal,
+    for nominal in (0, 1).
+    """
+    return 1.0 - imhof_cdf(gamma_quantile(1.0 - nominal, g), spectrum)

@@ -21,9 +21,9 @@ from .arma import ArmaSpec, NotAdmissibleError
 from .asymptotic import (
     InfeasibleGammaError,
     RankDeficientError,
-    gamma_distortion,
     gamma_params,
     gamma_tail,
+    gamma_test_size,
     imhof_cdf,
     imhof_quantile,
     lambda_spectrum,
@@ -171,7 +171,7 @@ def cmd_test(args) -> int:
             entry["gamma_alpha"] = g.alpha
             entry["gamma_beta"] = g.beta
             if "error_asymptotic" not in entry:
-                entry["gamma_distortion_5pct"] = gamma_distortion(fitted.spec, m, 0.05)
+                entry["gamma_distortion_5pct"] = gamma_test_size(g, spectrum)
         except InfeasibleGammaError as err:
             entry["gamma_infeasible"] = str(err)
         row["d_hat"] = entry
@@ -272,7 +272,7 @@ def cmd_asymptotic(args) -> int:
     try:
         g = gamma_params(args.m, args.p + args.q)
         payload["gamma"] = {"alpha": g.alpha, "beta": g.beta, "feasible": True}
-        payload["gamma_distortion_5pct"] = gamma_distortion(spec, args.m, 0.05)
+        payload["gamma_distortion_5pct"] = gamma_test_size(g, spectrum)
     except InfeasibleGammaError as err:
         payload["gamma"] = {"feasible": False, "message": str(err)}
     try:

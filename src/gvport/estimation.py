@@ -112,6 +112,18 @@ class RowFits:
     iterations: np.ndarray
     errors: list
 
+    def model(self, i: int) -> FittedModel:
+        """Row i as fit_arma returns it; raises the row's error instead."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        n = self.residuals.shape[1]
+        css = float(self.css[i])
+        spec = ArmaSpec(ar=tuple(self.ar[i]), ma=tuple(self.ma[i]), sigma2=max(css / n, 1e-300),
+                        mean=float(self.mean[i]))
+        return FittedModel(spec=spec, residuals=self.residuals[i], css=css,
+                           converged=bool(self.converged[i]),
+                           iterations=int(self.iterations[i]), n=n)
+
 
 def _rowdot(a, b) -> np.ndarray:
     """sum_j a_ij b_ij for each row i; a row's value does not depend on the other rows."""
@@ -148,11 +160,34 @@ def inverse_ma_rows(X, theta) -> np.ndarray:
     return np.ascontiguousarray(YT.T)
 
 
+def ar_filter_rows(U, phi) -> np.ndarray:
+    """phi_i(B) applied to row i of U (rows, n), zero presample: a_t = u_t - sum_j phi_ij u_{t-j}.
+
+    phi is (rows, p); the lag-j term is subtracted for j = 1..p in turn, an
+    elementwise step, so a row's result does not depend on the other rows.
+    """
+    a = U.copy()
+    for j in range(1, phi.shape[1] + 1):
+        a[:, j:] -= phi[:, j - 1, None] * U[:, :-j]
+    return a
+
+
 def css_residual_rows(X, spec: ArmaSpec) -> np.ndarray:
-    """css_residuals of every row of X (rows, n) under one admissible spec, by one lfilter."""
+    """css_residuals of every row of X (rows, n) under one spec.
+
+    Raises NotAdmissibleError for an inadmissible spec and ValueError when
+    n <= p + q.  A pure-AR spec takes ar_filter_rows; with an MA part one
+    lfilter runs over the rows.
+    """
+    require_admissible(spec)
+    if X.shape[1] <= spec.p + spec.q:
+        raise ValueError(f"series length {X.shape[1]} too short for ARMA({spec.p},{spec.q})")
+    xc = X - spec.mean
+    if not spec.q:
+        return ar_filter_rows(xc, np.broadcast_to(spec.ar, (xc.shape[0], spec.p)))
     b = np.concatenate(([1.0], -np.asarray(spec.ar)))
     den = np.concatenate(([1.0], -np.asarray(spec.ma)))
-    return lfilter(b, den, X - spec.mean, axis=1)
+    return lfilter(b, den, xc, axis=1)
 
 
 def css_residuals(series, spec: ArmaSpec) -> np.ndarray:
@@ -163,12 +198,9 @@ def css_residuals(series, spec: ArmaSpec) -> np.ndarray:
     including the presample-contaminated leading ones.  The one-row case
     of css_residual_rows.
     """
-    require_admissible(spec)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    if x.size <= spec.p + spec.q:
-        raise ValueError(f"series length {x.size} too short for ARMA({spec.p},{spec.q})")
     return css_residual_rows(x[None], spec)[0]
 
 
@@ -189,9 +221,7 @@ class _CssRows:
         phi, dphi = step_up_jacobian(g[:, :p])
         theta, dtheta = step_up_jacobian(g[:, p:])
         u = inverse_ma_rows(self.xc[rows], theta) if q else self.xc[rows]
-        a = u.copy()
-        for i in range(1, p + 1):
-            a[:, i:] -= phi[:, i - 1, None] * u[:, :-i]
+        a = ar_filter_rows(u, phi)
         # the clip is flat: a clipped partial has zero derivative
         dg = np.where(np.abs(t) < _PACF_CLIP, 1.0 - t * t, 0.0)[:, None, :]
         return a, (phi, theta, u, dphi * dg[..., :p], dtheta * dg[..., p:])
@@ -382,12 +412,4 @@ def fit_arma(series, p: int, q: int, options: FitOptions = FitOptions()) -> Fitt
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    fit = fit_arma_rows(x[None], p, q, options)
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
-    css = float(fit.css[0])
-    spec = ArmaSpec(ar=tuple(fit.ar[0]), ma=tuple(fit.ma[0]), sigma2=max(css / x.size, 1e-300),
-                    mean=float(fit.mean[0]))
-    return FittedModel(spec=spec, residuals=fit.residuals[0], css=css,
-                       converged=bool(fit.converged[0]), iterations=int(fit.iterations[0]),
-                       n=x.size)
+    return fit_arma_rows(x[None], p, q, options).model(0)

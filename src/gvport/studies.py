@@ -12,10 +12,15 @@ a QQ CSV for the convergence study):
   upper quantile, and QQ data.
 * ``size`` - empirical rejection rate of the Monte-Carlo test under the
   null, R outer simulations each running an inner N-replicate MC test.
+  Each worker chunk of outer replicates is scored in one pass of
+  ``mc.mc_grid_rows``: their series form one block, and their inner
+  replicates share phase-one blocks when they share the replicate spec (the
+  oracle mode's known spec).  An outer replicate whose attempt-0 series or
+  inner replicates fail is rerun alone through ``redraw``.
 * ``power`` - rejection rates against configured alternatives (ARMA,
   GARCH, fractional noise), with the MC generalized-variance and MC
   Ljung-Box tests computed from the SAME simulated series and replicates
-  (paired), plus the chi-squared Ljung-Box route.
+  (paired), plus the chi-squared Ljung-Box route.  Same runner as size.
 
 Every cell is a pure function of (config, master_seed), so reports are
 byte-identical across rerun and across any worker count.  The CSV carries
@@ -47,10 +52,18 @@ from .generators import (
     GarchSpec,
     RngStream,
     simulate_arma,
+    simulate_arma_rows,
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import ReplicateFailedError, map_chunks, mc_portmanteau_grid, redraw, replicate_rows
+from .mc import (
+    ReplicateFailedError,
+    map_chunks,
+    mc_grid_rows,
+    mc_portmanteau_grid,
+    redraw,
+    replicate_rows,
+)
 
 STUDY_KINDS = ("gamma_distortion", "convergence", "size", "power")
 QQ_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99)
@@ -421,21 +434,36 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
 # ---------------------------------------------------------------------------
 # size and power studies
 
-def _rejection_rows(simulate, m_list, kinds, fit_p: int, fit_q: int, N: int, known_spec,
+def _rejection_rows(spec, n: int, m_list, kinds, fit_p: int, fit_q: int, N: int, known_spec,
                     want_chi2: bool, roots) -> tuple[list, np.ndarray]:
     """MC p-values (and chi-squared Ljung-Box p-values) for the outer replicates `roots`.
 
     Outer replicate `root` draws its series on root.substream(0) and its inner
-    replicates on root.substream(1..N).  Returns (rows, [redraws and failed
-    replicates, nonconverged replicate refits]).
+    replicates on root.substream(1..N).  The attempt-0 series of all roots
+    are scored in one pass of mc_grid_rows; a root whose attempt-0 series or
+    inner replicates fail there is rerun alone by `redraw` from attempt 0,
+    the path whose counts define the study.  Returns (rows, [redraws and
+    failed replicates, nonconverged replicate refits]).
     """
+    roots = list(roots)
+    simulate = partial(simulate_model, spec, n)
+    starts = [root.substream(0) for root in roots]
+    if isinstance(spec, ArmaSpec):
+        X = simulate_arma_rows(spec, n, starts)
+    else:
+        X = np.array([simulate(stream) for stream in starts])
+    fit_options = FitOptions()
+    parents = [(root.master_seed, root.key) for root in roots]
+    grids = mc_grid_rows(X, fit_p, fit_q, m_list, N, parents, kinds, known_spec, fit_options)
     rows, failures, nonconverged = [], 0, 0
-    for root in roots:
-        grid, failed = redraw(
-            root.substream(0), simulate,
-            lambda x: mc_portmanteau_grid(x, fit_p, fit_q, m_list, N, kinds=kinds,
-                                          base_stream=root, known_spec=known_spec),
-            errors=(ValueError, ReplicateFailedError))
+    for root, grid in zip(roots, grids):
+        failed = 0
+        if isinstance(grid, Exception):
+            grid, failed = redraw(
+                root.substream(0), simulate,
+                partial(mc_portmanteau_grid, p=fit_p, q=fit_q, m_list=m_list, N=N, kinds=kinds,
+                        base_stream=root, known_spec=known_spec, fit_options=fit_options),
+                errors=(ValueError, ReplicateFailedError))
         row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
         if want_chi2:
             row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
@@ -458,8 +486,8 @@ def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
         mid, spec = build_model(desc, i)
         known = spec if (config.oracle and isinstance(spec, ArmaSpec)) else None
         for n in config.n_list:
-            worker = partial(_rejection_rows, partial(simulate_model, spec, n), config.m_list,
-                             kinds, config.fit_p, config.fit_q, N, known, want_chi2)
+            worker = partial(_rejection_rows, spec, n, config.m_list, kinds, config.fit_p,
+                             config.fit_q, N, known, want_chi2)
             roots = [RngStream(config.master_seed, outer) for outer in range(R)]
             rows, (failures, nonconverged) = map_chunks(worker, roots, threads)
             pvals = np.array(rows)

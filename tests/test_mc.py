@@ -1,18 +1,20 @@
 """Monte-Carlo test engine: p-value law, determinism, oracle-mode exactness."""
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 import gvport.mc as mc_module
-from gvport.arma import ArmaSpec
+from gvport.arma import ArmaSpec, NotAdmissibleError
 from gvport.diagnostics import portmanteau_table, residual_acf
 from gvport.estimation import FitOptions, css_residuals, fit_arma
-from gvport.generators import RngStream, simulate_arma
+from gvport.generators import RngStream, simulate_arma, simulate_arma_rows
 from gvport.mc import (
     REDRAW_ATTEMPTS,
     ReplicateFailedError,
     map_chunks,
+    mc_grid_rows,
     mc_portmanteau_grid,
     mc_portmanteau_test,
     mc_test_batch,
@@ -136,15 +138,14 @@ class TestFailureHandling:
     def test_persistent_failure_aborts(self, monkeypatch):
         x = simulate_arma(ArmaSpec(ar=(0.5,)), 100, RngStream(8, 0))
 
-        def dead_fit(series, p, q, options):
-            raise ValueError("always fails")
+        real_rows = mc_module.fit_arma_rows
 
-        real_fit = mc_module.fit_arma
-        monkeypatch.setattr(
-            mc_module, "fit_arma",
-            lambda s, p, q, o: real_fit(s, p, q, o) if len(s) != 100 else dead_fit(s, p, q, o))
-        # observed fit (len 100) dies -> fatal
-        with pytest.raises(ValueError):
+        def dead_rows(X, p, q, options):
+            return replace(real_rows(X, p, q, options), errors=[ValueError("always fails")] * len(X))
+
+        monkeypatch.setattr(mc_module, "fit_arma_rows", dead_rows)
+        # every fit dies, the observed one first -> fatal
+        with pytest.raises(ValueError, match="always fails"):
             mc_portmanteau_test(x, 1, 0, 5, 9, master_seed=9)
 
 
@@ -375,6 +376,96 @@ class TestBlocks:
             np.testing.assert_array_equal(again, counts)
         chunked, _ = map_chunks(worker, streams, 2)
         np.testing.assert_array_equal(np.array(chunked), full)
+
+
+class TestGridRows:
+    """mc_grid_rows against mc_portmanteau_grid on each series alone."""
+
+    @pytest.mark.parametrize("known", [None, ArmaSpec(ar=(0.5,))])
+    def test_rows_match_one_series_runs(self, monkeypatch, known):
+        roots = [RngStream(31, outer) for outer in range(7)]
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,)), 80, [root.substream(0) for root in roots])
+        X[2] = 0.0  # an observed series that cannot be scored
+        if known is None:
+            real_rows = mc_module.fit_arma_rows
+
+            def flaky_rows(X, p, q, options):
+                fits = real_rows(X, p, q, options)
+                for i in range(len(X)):
+                    if unlucky(X[i]):
+                        fits.errors[i] = ValueError("synthetic refit failure")
+                return fits
+
+            monkeypatch.setattr(mc_module, "fit_arma_rows", flaky_rows)
+        else:
+            real_resid = mc_module.css_residual_rows
+
+            def flaky_resid(X, spec):
+                resid = real_resid(X, spec)
+                resid[[unlucky(x) for x in X]] = 0.0  # zero residuals fail the row
+                return resid
+
+            monkeypatch.setattr(mc_module, "css_residual_rows", flaky_resid)
+        monkeypatch.setattr(mc_module, "BLOCK_ROWS", 7)
+        args = ((4, 9), 30)
+        kinds = ("d_hat", "ljung_box")
+        grids = mc_grid_rows(X, 1, 0, *args, [(root.master_seed, root.key) for root in roots],
+                             kinds, known_spec=known)
+        failed = scored = 0
+        for x, root, grid in zip(X, roots, grids):
+            try:
+                want = mc_portmanteau_grid(x, 1, 0, *args, kinds=kinds, base_stream=root,
+                                           known_spec=known)
+            except ValueError as err:
+                assert type(grid) is type(err) and str(grid) == str(err)
+                failed += 1
+                continue
+            assert grid.cells == want.cells
+            assert grid.fitted.spec == want.fitted.spec
+            np.testing.assert_array_equal(grid.observed_acf.r, want.observed_acf.r)
+            assert (grid.failed_replicates, grid.nonconverged_refits) == (
+                want.failed_replicates, want.nonconverged_refits)
+            scored += grid.failed_replicates > 0
+        assert failed >= 1 and scored >= 3
+
+    def test_ties_count_as_exceedances(self):
+        # the observed series is replicate 4's draw, so replicate 4 ties it exactly
+        spec, seed = ArmaSpec(ar=(0.5,)), 32
+        x = simulate_arma(spec, 80, RngStream(seed, 4))
+        grid = mc_portmanteau_grid(x, 1, 0, (6,), 25, master_seed=seed, known_spec=spec)
+        stats, _ = replicate_rows(spec, 80, (6,), ("d_hat",), 1, 0, spec, FitOptions(),
+                                  [RngStream(seed, i) for i in range(1, 26)])
+        obs = grid.cells[(6, "d_hat")].observed.statistic
+        assert stats[3, 0] == obs
+        assert grid.cells[(6, "d_hat")].k == int(np.sum(stats[:, 0] >= obs))
+
+    def test_first_dead_stream_is_reported(self, monkeypatch):
+        # replicates 3 and 5 draw zero series on every attempt: zero residuals
+        real = RngStream.generator
+
+        class Zero:
+            def standard_normal(self, out):
+                out[:] = 0.0
+                return out
+
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda s: Zero() if s.key[0] in (3, 5) else real(s))
+        spec = ArmaSpec(ar=(0.5,))
+        x = simulate_arma(spec, 80, RngStream(33, 0))
+        with pytest.raises(ReplicateFailedError, match=r"stream \(3,\) of seed 33"):
+            mc_portmanteau_grid(x, 1, 0, (6,), 9, master_seed=33, known_spec=spec)
+
+    def test_inadmissible_known_spec_fails_every_row(self):
+        spec = ArmaSpec(ar=(1.5,))
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,)), 40, [RngStream(34, i) for i in range(3)])
+        grids = mc_grid_rows(X, 1, 0, (5,), 9, [(34, (i,)) for i in range(3)], known_spec=spec)
+        assert all(isinstance(g, NotAdmissibleError) for g in grids)
+        with pytest.raises(NotAdmissibleError, match="not stationary"):
+            mc_portmanteau_grid(X[0], 1, 0, (5,), 9, known_spec=spec)
+
+    def test_rows_and_parents_must_match(self):
+        with pytest.raises(ValueError, match="one row of X"):
+            mc_grid_rows(np.zeros((2, 50)), 0, 0, (5,), 9, [(0, ())])
 
 
 class TestNonconvergedRefits:

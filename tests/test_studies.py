@@ -2,15 +2,18 @@
 import csv
 import io
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+import gvport.mc as mc_module
 from gvport import studies
 from gvport.arma import ArmaSpec
-from gvport.estimation import FitOptions
-from gvport.generators import RngStream
-from gvport.mc import mc_portmanteau_grid, replicate_rows
+from gvport.diagnostics import ljung_box
+from gvport.estimation import FitOptions, fit_arma
+from gvport.generators import RngStream, simulate_arma
+from gvport.mc import ReplicateFailedError, mc_portmanteau_grid, redraw, replicate_rows
 from gvport.studies import (
     QQ_PROBS,
     StudyConfig,
@@ -250,17 +253,166 @@ class TestNonconvergedRefits:
         cfg = tiny_config(R=3, N=19, fit={"p": 1, "q": 1},
                           models=[{"type": "arma", "ar": [0.5], "ma": [-0.4], "id": "arma11"}])
         assert not any("did not converge" in w for w in run_size_study(cfg).warnings)
-        grids = []
-
-        def capped_grid(*args, **kwargs):
-            grids.append(mc_portmanteau_grid(*args, fit_options=self.CAPPED, **kwargs))
-            return grids[-1]
-
-        monkeypatch.setattr(studies, "mc_portmanteau_grid", capped_grid)
+        monkeypatch.setattr(studies, "FitOptions", lambda: self.CAPPED)
         rep = run_size_study(cfg)
-        count = sum(g.nonconverged_refits for g in grids)
-        assert len(grids) == 3 and count > 0
+        # the same outer replicates, each through the one-series runner
+        spec, count = ArmaSpec(ar=(0.5,), ma=(-0.4,)), 0
+        for outer in range(3):
+            root = RngStream(cfg.master_seed, outer)
+            grid, _ = redraw(root.substream(0), partial(simulate_arma, spec, 60),
+                             partial(mc_portmanteau_grid, p=1, q=1, m_list=(5,), N=19,
+                                     base_stream=root, fit_options=self.CAPPED),
+                             errors=(ValueError, ReplicateFailedError))
+            count += grid.nonconverged_refits
+        assert count > 0
         assert f"arma11 n=60: {count} replicate refits did not converge" in rep.warnings
+
+
+# ---------------------------------------------------------------------------
+# the per-root size and power runner before pooled outer replicates, kept as a reference
+
+def reference_rejection_rows(spec, n, m_list, kinds, fit_p, fit_q, N, known_spec, want_chi2,
+                             roots):
+    """One `redraw` of mc_portmanteau_grid per outer replicate, in root order."""
+    simulate = partial(studies.simulate_model, spec, n)
+    rows, failures, nonconverged = [], 0, 0
+    for root in roots:
+        grid, failed = redraw(
+            root.substream(0), simulate,
+            lambda x: mc_portmanteau_grid(x, fit_p, fit_q, m_list, N, kinds=kinds,
+                                          base_stream=root, known_spec=known_spec),
+            errors=(ValueError, ReplicateFailedError))
+        row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
+        if want_chi2:
+            row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+        rows.append(row)
+        failures += failed + grid.failed_replicates
+        nonconverged += grid.nonconverged_refits
+    return rows, np.array([failures, nonconverged])
+
+
+class ZeroGenerator:
+    """Stands in for a stream's generator: every normal draw is 0."""
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[:] = 0.0
+        return out
+
+
+class InjectedFailures:
+    """Deterministic failures on every path of the pooled runner.
+
+    - Outer 1's attempt-0 series is drawn from zero innovations, a constant
+      series that neither a fit nor a known-spec ACF accepts.
+    - Inner replicate j of outer o fails its attempt 0 when 7o + j is a
+      multiple of 11, and its redraw succeeds.
+    - Under outer 3's attempt-0 fitted spec, every inner replicate fails
+      attempts 0 and 1: 2N failures, more than N.
+    - Under outer 5's attempt-0 fitted spec, inner stream 2 fails all
+      REDRAW_ATTEMPTS attempts.
+
+    A failing replicate is the zero series, which a fit rejects as constant
+    and a known spec with mean 0 filters to zero residuals.  Outers 3 and 5
+    recover on their attempt-1 series, whose fitted spec differs.
+    """
+
+    def __init__(self, monkeypatch, cfg, fitted: bool):
+        self.exceed, self.dead, self.fired, self.drawn = set(), set(), set(), set()
+        if fitted:
+            for i, desc in enumerate(cfg.models):
+                _, spec = build_model(desc, i)
+                for n in cfg.n_list:
+                    for outer, specs in ((3, self.exceed), (5, self.dead)):
+                        x = studies.simulate_model(spec, n,
+                                                   RngStream(cfg.master_seed, outer).substream(0))
+                        specs.add(fit_arma(x, cfg.fit_p, cfg.fit_q).spec)
+        real_generator = RngStream.generator
+
+        def generator(stream):
+            self.drawn.add(stream.key)
+            return ZeroGenerator() if stream.key == (1, 0) else real_generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+        real_rows = mc_module.simulate_arma_rows
+        monkeypatch.setattr(mc_module, "simulate_arma_rows", self.wrap(real_rows))
+        monkeypatch.setattr(mc_module, "simulate_arma",
+                            lambda spec, n, stream: self.wrap(real_rows)(spec, n, [stream])[0])
+
+    def doomed(self, key, spec) -> str | None:
+        if len(key) == 2 and (7 * key[0] + key[1]) % 11 == 0:
+            return "redraw"
+        if key[0] == 3 and spec in self.exceed and (len(key) == 2 or key[2] == 1):
+            return "exceed"
+        if key[:2] == (5, 2) and spec in self.dead:
+            return "dead"
+        return None
+
+    def wrap(self, real_rows):
+        def simulate_rows(spec, n, streams):
+            X = real_rows(spec, n, streams)
+            for row, stream in zip(X, streams):
+                path = self.doomed(stream.key, spec)
+                if path:
+                    row[:] = 0.0
+                    self.fired.add(path)
+            return X
+        return simulate_rows
+
+
+class TestAgainstReferenceRunner:
+    """The pooled runner against the per-root one: CSVs, warnings and failure counts."""
+
+    CONFIGS = {
+        "size_fitted": dict(m=[3, 5], statistics=["d_hat", "ljung_box"], levels=[0.05, 0.1]),
+        "size_oracle": dict(oracle=True, models=[{"type": "arma", "ar": [0.5], "ma": [0.3]}],
+                            m=[3, 5], statistics=["d_hat", "box_pierce"], levels=[0.05, 0.1],
+                            fit={"p": 1, "q": 1}),
+        "power": dict(study="power", statistics=["d_hat", "ljung_box"], m=[4, 6], models=[
+            {"type": "fractional_noise", "d": 0.3, "id": "fn"},
+            {"type": "garch", "omega": 0.1, "alpha": [0.3], "beta": [0.5], "id": "garch"},
+            {"type": "arma", "ar": [0.5, -0.3], "id": "ar2"}]),
+    }
+
+    @staticmethod
+    def run(cfg):
+        rep = studies.run_study(cfg, threads=1)
+        return rep.csv_text(), rep.warnings
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_identical_to_per_root_runner(self, monkeypatch, name):
+        over = dict(self.CONFIGS[name])
+        cfg = tiny_config(**{"study": over.pop("study", "size"), "R": 8, "N": 19, **over})
+        injected = InjectedFailures(monkeypatch, cfg, fitted=not cfg.oracle)
+        with monkeypatch.context() as patch:
+            patch.setattr(studies, "_rejection_rows", reference_rejection_rows)
+            want = self.run(cfg)
+        assert injected.fired == ({"redraw"} if cfg.oracle else {"redraw", "exceed", "dead"})
+        # outers whose attempt 0 failed, and only those, drew an attempt-1 series
+        redrawn = {key for key in injected.drawn if key[1:] == (0, 1)}
+        assert redrawn == ({(1, 0, 1)} if cfg.oracle else {(1, 0, 1), (3, 0, 1), (5, 0, 1)})
+        assert any(len(key) == 3 and key[1] > 0 for key in injected.drawn)  # inner redraws
+        for size in (1, 7, 128):
+            monkeypatch.setattr(mc_module, "BLOCK_ROWS", size)
+            for threads in (1, 2):
+                rep = studies.run_study(cfg, threads=threads)
+                assert (rep.csv_text(), rep.warnings) == want, (size, threads)
+
+    def test_unrecoverable_outer_raises_alike(self, monkeypatch):
+        # with a known spec the inner replicates repeat on every outer attempt,
+        # so an outer whose inner failures exceed N fails all its attempts
+        cfg = tiny_config(oracle=True, R=6, N=19)
+        injected = InjectedFailures(monkeypatch, cfg, fitted=False)
+        injected.exceed.add(ArmaSpec(ar=(0.5,)))
+        with monkeypatch.context() as patch:
+            patch.setattr(studies, "_rejection_rows", reference_rejection_rows)
+            with pytest.raises(ReplicateFailedError) as want:
+                run_size_study(cfg)
+        with pytest.raises(ReplicateFailedError) as got:
+            run_size_study(cfg)
+        assert str(got.value) == str(want.value)
+        assert "(3, 0)" in str(got.value)
 
 
 class TestDeterminismAndOutputs:
