@@ -165,8 +165,9 @@ def information_matrix(spec: ArmaSpec) -> np.ndarray:
     k = spec.p + spec.q
     if k == 0:
         return np.zeros((0, 0))
-    moduli = [np.min(poly_root_moduli(c)) for c in (spec.ar, spec.ma) if len(c)]
-    r = min(moduli)
+    moduli = [poly_root_moduli(c) for c in (spec.ar, spec.ma) if len(c)]
+    # an all-zero coefficient tuple has no roots and finitely many weights
+    r = min((m.min() for m in moduli if len(m)), default=math.inf)
     # |psi_l| ~ r^{-l}; products decay like r^{-2l}
     L = int(math.ceil(-0.5 * math.log(1e-16) / math.log(r))) + 64
     if L > _INFO_SERIES_CAP:

@@ -29,12 +29,28 @@ not depend on block boundaries or on the number of workers.
 `mc_grid_rows` runs many MC tests at once, one per row of a block of
 observed series (a study's outer replicates), and `mc_portmanteau_grid` is
 its one-series case.  The observed fits, ACFs and statistics of all rows
-form one block.  The replicates of consecutive series that share the
-replicate spec (every series under a known spec; one series at a time for
-a fitted null) are pooled, so a block spans series boundaries and stays
-full; each series' exceedance counts are accumulated block by block.  A
-series whose test would raise gets that error in place of its result.
-`replicate_rows` keeps every statistics row, for the convergence study.
+form one block.  The replicates of all series are pooled, so a block spans
+series boundaries and stays full: each row is simulated from its own
+series' replicate spec (one simulation per distinct spec in a block) and
+the refits, ACFs and statistics of the block run as one.  Each series'
+exceedance counts are accumulated block by block.  A series whose test
+would raise gets that error in place of its result.  `replicate_rows`
+keeps every statistics row, for the convergence study.
+
+Given significance levels, `mc_grid_rows` returns only the decisions
+p <= level, and curtails each series' replicates (Besag & Clifford 1991):
+with K the largest k whose p-value (k+1)/(N+1) is <= level, the test
+rejects iff k <= K, which is fixed as accepted once k > K and as rejected
+once k plus the replicates left is <= K.  Replicates are drawn in key
+order and in waves.  A wave holds each open series' next replicates: at
+least its `wave_sizes`, a lower bound on what it needs before every
+decision is fixed, and at least its share of one full block, so that the
+last waves, with few series open, do not score a few rows per block.  A
+series keeps its replicates up to the first at which all its decisions
+are fixed (its stop) and discards the rest of its wave.  The stop depends
+on the replicate keys alone, and failed attempts, nonconverged refits,
+dead streams and the failures > N abort count replicates 1..stop only.
+Without levels every series draws all N replicates in one wave.
 
 The grid runner computes several (m, statistic) pairs from one shared set
 of replicates; comparisons across statistics or lag counts are then paired,
@@ -46,7 +62,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
+from itertools import islice
 
 import numpy as np
 
@@ -99,6 +115,9 @@ class McGridResult:
     failed_replicates: int
     observed_acf: ResidualAcf  # of fitted.residuals, lags 1..max(m)
     nonconverged_refits: int  # scored replicates whose refit never converged
+    drawn: int  # replicates counted: N, or the stop when curtailed at levels
+    # with levels, (m, kind) -> one reject flag per level, and `cells` is empty
+    rejects: dict
 
 
 class ReplicateFailedError(RuntimeError):
@@ -174,25 +193,37 @@ def _score_one(score, x):
     return stats[0], bool(nonconverged[0])
 
 
-def _block_size(spec: ArmaSpec, n: int) -> int:
-    return max(1, min(BLOCK_ROWS, BLOCK_VALUES // (n + arma_burn_in(spec))))
+def _block_size(specs, n: int) -> int:
+    """Rows of a phase-one block whose rows are drawn from any of `specs`."""
+    burn = max(arma_burn_in(spec) for spec in specs)
+    return max(1, min(BLOCK_ROWS, BLOCK_VALUES // (n + burn)))
 
 
-def _score_block(score, spec: ArmaSpec, n: int, streams) -> tuple:
-    """Replicates of `spec` on `streams`: phase one as one block, then each failed row alone.
+def _simulate_block(specs, which, n: int, streams) -> np.ndarray:
+    """simulate_arma_rows of streams[i] under specs[which[i]], one call per spec used."""
+    X = np.empty((len(streams), n))
+    for s in np.unique(which).tolist():
+        rows = np.flatnonzero(which == s)
+        X[rows] = simulate_arma_rows(specs[s], n, [streams[i] for i in rows])
+    return X
+
+
+def _score_block(score, specs, which, n: int, streams) -> tuple:
+    """Replicates of specs[which[i]] on streams[i]: phase one as one block, then failed rows alone.
 
     Returns per stream (statistics row, failed attempts, nonconverged refit,
     dead): dead[i] is the ReplicateFailedError of a stream that failed every
     attempt, or None; a dead stream's other entries are meaningless.
     """
-    stats, nonconverged, ok = score(simulate_arma_rows(spec, n, streams))
+    stats, nonconverged, ok = score(_simulate_block(specs, which, n, streams))
     nonconverged &= ok
     failed = np.zeros(len(streams), dtype=int)
     dead = [None] * len(streams)
     for i in np.flatnonzero(~ok):
         try:
             (stats[i], nonconverged[i]), failed[i] = redraw(
-                streams[i], partial(simulate_arma, spec, n), partial(_score_one, score), first=1)
+                streams[i], partial(simulate_arma, specs[which[i]], n),
+                partial(_score_one, score), first=1)
         except ReplicateFailedError as err:
             dead[i] = err
     return stats, failed, nonconverged, dead
@@ -207,12 +238,13 @@ def replicate_rows(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int, known_
     ReplicateFailedError of the first stream that failed every attempt.
     """
     score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
-    size = _block_size(spec, n)
+    size = _block_size((spec,), n)
     out = np.empty((len(streams), len(m_list) * len(kinds)))
     failures = nonconverged = 0
     for start in range(0, len(streams), size):
         block = streams[start : start + size]
-        stats, failed, unconverged, dead = _score_block(score, spec, n, block)
+        stats, failed, unconverged, dead = _score_block(score, (spec,), np.zeros(len(block), int),
+                                                        n, block)
         for err in filter(None, dead):
             raise err
         out[start : start + len(block)] = stats
@@ -221,31 +253,109 @@ def replicate_rows(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int, known_
     return out, np.array([failures, nonconverged])
 
 
-def _exceedance_rows(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int, known_spec,
-                     fit_options, observed, items) -> tuple[list, np.ndarray]:
+def _exceedance_rows(specs, which, size: int, n: int, m_list, kinds, p: int, q: int,
+                     known_spec, fit_options, observed, items) -> tuple[list, int]:
     """Score the replicates `items`, (owner, stream) pairs, against their owners' observed values.
 
-    observed[o] holds owner o's observed statistics in (m, kind) order.
-    Streams are taken in full blocks of _block_size, across owners, and
-    each block is reduced as soon as it is scored.  Returns (dead, counts):
-    (owner, ReplicateFailedError) of every stream that failed every
-    attempt, in item order, and per owner the count of replicate
-    statistics >= the observed one in each column, then its failed attempts
-    and nonconverged refits.
+    Owner o's replicates are drawn from specs[which[o]], and observed[o]
+    holds its observed statistics in (m, kind) order.  Streams are taken in
+    full blocks of `size`, across owners, and each block is reduced as soon
+    as it is scored.  Returns one (flags, dead) pair per block, and 0:
+    flags holds per stream whether each replicate statistic is >= the
+    observed one, then the stream's failed attempts and nonconverged
+    refit; dead per stream the ReplicateFailedError of a stream that failed
+    every attempt, or None.
     """
     score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
-    size = _block_size(spec, n)
-    counts = np.zeros((len(observed), observed.shape[1] + 2), dtype=np.int64)
-    dead = []
+    blocks = []
     items = iter(items)
     while block := list(islice(items, size)):
         owners = np.array([owner for owner, _ in block])
-        stats, failed, nonconverged, died = _score_block(score, spec, n,
+        stats, failed, nonconverged, dead = _score_block(score, specs, which[owners], n,
                                                          [stream for _, stream in block])
-        np.add.at(counts, owners,
-                  np.column_stack((stats >= observed[owners], failed, nonconverged)))
-        dead += [(int(owner), err) for owner, err in zip(owners, died) if err is not None]
-    return dead, counts
+        blocks.append((np.column_stack((stats >= observed[owners], failed, nonconverged)),
+                       dead))
+    return blocks, 0
+
+
+def rejection_thresholds(N: int, levels) -> np.ndarray:
+    """K per level: the largest k with (k+1)/(N+1) <= level, or -1 if none.
+
+    Evaluated with the p-value's own float expression, so k <= K exactly
+    when the p-value of k is <= level.
+    """
+    p_values = (np.arange(N) + 1) / (N + 1)
+    return np.array([np.count_nonzero(p_values <= level) - 1 for level in levels])
+
+
+def wave_sizes(k, drawn, N: int, thresholds) -> np.ndarray:
+    """Replicates each series must still draw before its open decisions can all be fixed.
+
+    k (series, columns) counts the exceedances among a series' first
+    drawn[i] replicates.  Decision (column c, threshold K) is open while
+    k_c <= K < k_c + left, with left = N - drawn: accepting needs K + 1 - k_c
+    more exceedances and rejecting left - (K - k_c) more replicates, so the
+    smaller of the two is a lower bound for that decision, and the largest
+    over the open decisions one for the series.  Zero once every decision is
+    fixed; N - drawn when `thresholds` is None (no decisions, full N).
+    """
+    left = N - np.asarray(drawn)
+    if thresholds is None:
+        return left
+    slack = np.asarray(thresholds)[None, None, :] - np.asarray(k)[:, :, None]
+    left = left[:, None, None]
+    need = np.where((slack >= 0) & (slack < left), np.minimum(slack + 1, left - slack), 0)
+    return need.max(axis=(1, 2))
+
+
+def _draw_waves(worker, parents, N: int, columns: int, thresholds, size: int,
+                threads: int) -> tuple:
+    """Run `worker` (_exceedance_rows) over the replicates of each parent, wave by wave.
+
+    Series i draws replicate j on RngStream(seed_i, j, parent_key=key_i), in
+    key order.  Each wave takes every open series' next replicates: at
+    least its wave_sizes, and at least its share of one block of `size`
+    across the open series, so that a wave with few open series still
+    fills a block.  A series then keeps its replicates up to its stop, the
+    first at which every decision is fixed, and counts nothing after it; a
+    series with a dead stream among the kept ones draws no more.  Returns
+    (counts, drawn, first_dead): per series its exceedances per column,
+    failed attempts and nonconverged refits, its replicates kept (its
+    stop), and series -> the ReplicateFailedError of its first dead stream.
+    """
+    counts = np.zeros((len(parents), columns + 2), dtype=np.int64)
+    drawn = np.zeros(len(parents), dtype=np.int64)
+    first_dead = {}
+    while True:
+        need = wave_sizes(counts[:, :columns], drawn, N, thresholds)
+        need[list(first_dead)] = 0
+        live = np.flatnonzero(need)
+        if not len(live):
+            return counts, drawn, first_dead
+        wave = np.minimum(np.maximum(need[live], -(-size // len(live))), N - drawn[live])
+        starts = drawn[live] + 1
+        items = ((owner, RngStream(parents[owner][0], j, parent_key=parents[owner][1]))
+                 for owner, start, stop in zip(live.tolist(), starts.tolist(),
+                                               (starts + wave).tolist())
+                 for j in range(start, stop))
+        blocks, _ = map_chunks(worker, items, threads)
+        flags = np.concatenate([block for block, _ in blocks])
+        # row r holds replicate drawn + pos[r] + 1 of series live[seg[r]]
+        seg = np.repeat(np.arange(len(live)), wave)
+        first = np.cumsum(wave) - wave
+        pos = np.arange(len(flags)) - first[seg]
+        k = np.cumsum(flags[:, :columns], axis=0)
+        k += (counts[live, :columns] - k[first] + flags[first, :columns])[seg]
+        fixed = wave_sizes(k, drawn[live][seg] + pos + 1, N, thresholds) == 0
+        kept = wave.copy()
+        np.minimum.at(kept, seg[fixed], pos[fixed] + 1)
+        used = pos < kept[seg]
+        np.add.at(counts, live[seg[used]], flags[used])
+        drawn[live] += kept
+        dead = [err for _, block in blocks for err in block]
+        for r in np.flatnonzero(used).tolist():
+            if dead[r] is not None:
+                first_dead.setdefault(int(live[seg[r]]), dead[r])
 
 
 def _observed_rows(X, p: int, q: int, m_list, kinds, known_spec, fit_options) -> list:
@@ -301,21 +411,30 @@ def _observed_rows(X, p: int, q: int, m_list, kinds, known_spec, fit_options) ->
 
 def mc_grid_rows(X, p: int, q: int, m_list, N: int, parents, kinds=("d_hat",),
                  known_spec: ArmaSpec | None = None,
-                 fit_options: FitOptions = FitOptions(), threads: int = 1) -> list:
+                 fit_options: FitOptions = FitOptions(), threads: int = 1,
+                 levels=()) -> list:
     """mc_portmanteau_grid of every row of X (rows, n) at once.
 
     Row i draws replicate j on RngStream(seed_i, j, parent_key=key_i), with
     (seed_i, key_i) = parents[i].  Returns per row its McGridResult, or the
     ValueError or ReplicateFailedError that mc_portmanteau_grid raises for
     that row alone.  The observed fits, ACFs and statistics of all rows run
-    as one block (_observed_rows).  The replicates of consecutive rows that
-    share the replicate spec (every row with a known spec, one row at a
-    time for fitted nulls) are pooled into full phase-one blocks, and each
-    row's exceedance counts are accumulated block by block, so no rows x N
-    statistics array is held.  `threads` spreads each pool over map_chunks.
+    as one block (_observed_rows).  The replicates of all rows are pooled
+    into full phase-one blocks, each row's simulated from its own replicate
+    spec, and each row's exceedance counts are accumulated block by block,
+    so no rows x N statistics array is held.  `threads` spreads the
+    replicates over map_chunks.
+
+    With `levels`, each row stops drawing at the first replicate where all
+    its decisions p <= level are fixed, and its result holds those
+    decisions in `rejects` in place of `cells` (see the module docstring).
+    Curtailed replicates are drawn in many short waves, so `levels` needs
+    threads == 1.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if len(levels) and threads > 1:
+        raise ValueError("levels need threads == 1")
     m_list = tuple(int(m) for m in m_list)
     kinds = tuple(kinds)
     if not m_list or not kinds:
@@ -329,38 +448,45 @@ def mc_grid_rows(X, p: int, q: int, m_list, N: int, parents, kinds=("d_hat",),
     n = X.shape[1]
     if max(m_list) >= n:
         raise ValueError(f"need m < n, got m={max(m_list)}, n={n}")
+    thresholds = rejection_thresholds(N, levels) if len(levels) else None
 
     results = _observed_rows(X, p, q, m_list, kinds, known_spec, fit_options)
     scored = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
-    for spec, group in groupby(scored, key=lambda i: results[i][0].spec):
-        group = list(group)
-        observed = np.array([[v.statistic for v in results[i][2]] for i in group])
-        items = ((owner, RngStream(parents[i][0], j, parent_key=parents[i][1]))
-                 for owner, i in enumerate(group) for j in range(1, N + 1))
-        worker = partial(_exceedance_rows, spec, n, m_list, kinds, p, q, known_spec,
-                         fit_options, observed)
-        dead, counts = map_chunks(worker, items, threads)
-        first_dead = dict(reversed(dead))
-        for owner, i in enumerate(group):
-            fitted, observed_acf, observed_row = results[i]
-            failures, nonconverged = (int(c) for c in counts[owner, -2:])
-            if owner in first_dead:
-                results[i] = first_dead[owner]
-            elif failures > N:
-                results[i] = ReplicateFailedError(
-                    f"{failures} replicate failures exceeded N={N}; aborting")
-            else:
-                cells = {}
-                for col, obs in enumerate(observed_row):
-                    k = int(counts[owner, col])
+    if not scored:
+        return results
+    index = {}  # replicate spec -> its position among the distinct ones
+    which = np.array([index.setdefault(results[i][0].spec, len(index)) for i in scored])
+    specs = list(index)
+    observed = np.array([[v.statistic for v in results[i][2]] for i in scored])
+    size = _block_size(specs, n)
+    worker = partial(_exceedance_rows, specs, which, size, n, m_list, kinds, p, q, known_spec,
+                     fit_options, observed)
+    counts, drawn, first_dead = _draw_waves(worker, [parents[i] for i in scored], N,
+                                            observed.shape[1], thresholds, size, threads)
+    for owner, i in enumerate(scored):
+        fitted, observed_acf, observed_row = results[i]
+        failures, nonconverged = (int(c) for c in counts[owner, -2:])
+        if owner in first_dead:
+            results[i] = first_dead[owner]
+        elif failures > N:
+            results[i] = ReplicateFailedError(
+                f"{failures} replicate failures exceeded N={N}; aborting")
+        else:
+            cells, rejects = {}, {}
+            for col, obs in enumerate(observed_row):
+                k = int(counts[owner, col])
+                if thresholds is None:
                     cells[(obs.m, obs.kind)] = McTestResult(
                         observed=obs, N=N, k=k, p_value=(k + 1) / (N + 1),
                         failed_replicates=failures, statistic_kind=obs.kind,
                         master_seed=parents[i][0])
-                results[i] = McGridResult(cells=cells, fitted=fitted, N=N,
-                                          failed_replicates=failures,
-                                          observed_acf=observed_acf,
-                                          nonconverged_refits=nonconverged)
+                else:
+                    rejects[(obs.m, obs.kind)] = tuple(bool(k <= K) for K in thresholds)
+            results[i] = McGridResult(cells=cells, fitted=fitted, N=N,
+                                      failed_replicates=failures,
+                                      observed_acf=observed_acf,
+                                      nonconverged_refits=nonconverged,
+                                      drawn=int(drawn[owner]), rejects=rejects)
     return results
 
 
@@ -369,13 +495,15 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
                         base_stream: RngStream | None = None,
                         known_spec: ArmaSpec | None = None,
                         fit_options: FitOptions = FitOptions(),
-                        threads: int = 1) -> McGridResult:
+                        threads: int = 1, levels=()) -> McGridResult:
     """Monte-Carlo test over a grid of lag counts and statistic kinds.
 
     All cells share the same fitted model and the same N simulated/refitted
     replicates (paired design).  Replicate i draws from substream i of the
     master seed, or of `base_stream` when nesting inside an outer
-    simulation loop.  The one-series case of mc_grid_rows.
+    simulation loop.  The one-series case of mc_grid_rows; with `levels`
+    the replicates are curtailed and only the decisions p <= level are
+    returned, in `rejects`.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -383,7 +511,7 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
     parent = (master_seed, ()) if base_stream is None else (base_stream.master_seed,
                                                             base_stream.key)
     (result,) = mc_grid_rows(x[None], p, q, m_list, N, (parent,), kinds, known_spec,
-                             fit_options, threads)
+                             fit_options, threads, levels)
     if isinstance(result, Exception):
         raise result
     return result

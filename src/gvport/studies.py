@@ -14,9 +14,21 @@ a QQ CSV for the convergence study):
   null, R outer simulations each running an inner N-replicate MC test.
   Each worker chunk of outer replicates is scored in one pass of
   ``mc.mc_grid_rows``: their series form one block, and their inner
-  replicates share phase-one blocks when they share the replicate spec (the
-  oracle mode's known spec).  An outer replicate whose attempt-0 series or
-  inner replicates fail is rerun alone through ``redraw``.
+  replicates share phase-one blocks.  The inner test is used only through
+  its decisions p <= level at the configured levels, so each outer
+  replicate draws its inner replicates in key order only until every
+  decision is fixed (curtailed sampling, see ``mc``).  An outer replicate
+  whose attempt-0 series or inner replicates fail is rerun alone through
+  ``redraw`` with the same curtailed one-row test.  The redraw and
+  nonconverged-refit warnings, and the ``failures > N`` abort, count the
+  inner replicates drawn up to each outer replicate's stop.  The rejection
+  rates are those of all N replicates unless a replicate past an outer
+  replicate's stop would have failed every redraw, or pushed its failures
+  past N: the full-N test then redraws that outer series, while the
+  curtailed one scores it.  The JSON metadata reports per (model, n) the
+  inner replicates kept up to the stops of the scored attempts against
+  R x N (``inner_replicates``); replicates of failed attempts, and those a
+  wave drew past a stop, are not included.
 * ``power`` - rejection rates against configured alternatives (ARMA,
   GARCH, fractional noise), with the MC generalized-variance and MC
   Ljung-Box tests computed from the SAME simulated series and replicates
@@ -31,7 +43,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -232,19 +244,24 @@ def simulate_model(spec, n: int, stream: RngStream) -> np.ndarray:
 
 
 def load_study_config(source, scale: float = 1.0) -> StudyConfig:
-    """Build a StudyConfig from a JSON file path, JSON text, or a dict.
+    """Build a StudyConfig from a JSON file path, JSON text, a dict, or a StudyConfig.
 
     `scale` divides the replication counts R and N (floored at 1 and 19
     respectively) so any configured study can run at desk scale.
     """
-    if isinstance(source, StudyConfig):
-        raw = asdict(source)
-        raw = {"study": raw["study"], "models": list(raw["models"]),
-               "fit": {"p": raw["fit_p"], "q": raw["fit_q"]}, "m": list(raw["m_list"]),
-               "n": list(raw["n_list"]), "R": raw["replications"], "N": raw["mc_replicates"],
-               "levels": list(raw["levels"]), "statistics": list(raw["statistics"]),
-               "seed": raw["master_seed"], "oracle": raw["oracle"], "out": raw["out"]}
-    elif isinstance(source, dict):
+    config = _normalized(source if isinstance(source, StudyConfig) else _parse_config(source))
+    _validate_config(config)
+    if scale != 1.0:
+        _require(scale > 0, "scale", "must be positive")
+        R, N = config.replications, config.mc_replicates
+        config = replace(config, replications=max(1, round(R / scale)),
+                         mc_replicates=max(19 if N >= 19 else 1, round(N / scale)))
+    return config
+
+
+def _parse_config(source) -> StudyConfig:
+    """The StudyConfig of a JSON file path, JSON text or dict, its values as given."""
+    if isinstance(source, dict):
         raw = source
     else:
         text = str(source)
@@ -257,11 +274,49 @@ def load_study_config(source, scale: float = 1.0) -> StudyConfig:
                 except json.JSONDecodeError as err:
                     raise StudyConfigError(f"config is not valid JSON: {err}") from err
     _require(isinstance(raw, dict), "config", "must be a JSON object")
+    fit = raw.get("fit", {"p": 0, "q": 0})
+    _require(isinstance(fit, dict), "fit", "must be an object with p and q")
+    return StudyConfig(
+        study=raw.get("study"), models=raw.get("models"),
+        fit_p=fit.get("p", 0), fit_q=fit.get("q", 0),
+        m_list=raw.get("m", [10]), n_list=raw.get("n", [200]),
+        replications=raw.get("R", 100), mc_replicates=raw.get("N", 99),
+        levels=raw.get("levels", [0.05]),
+        statistics=raw.get("statistics", ["d_hat", "ljung_box"]),
+        master_seed=raw.get("seed", 0), oracle=raw.get("oracle", False), out=raw.get("out"),
+    )
 
-    study = raw.get("study")
+
+def _normalized(config: StudyConfig) -> StudyConfig:
+    """`config` with its lists as tuples and its counts as ints.
+
+    A list field given as one number (or one statistic name) is a list of
+    that one entry; a list may be given as a list or a tuple.
+    """
+    def listed(key, vals, scalar, kind):
+        if isinstance(vals, scalar):
+            vals = [vals]
+        _require(isinstance(vals, (list, tuple)), key, "must be a nonempty list")
+        return tuple(kind(v) for v in vals)
+
+    models = config.models
+    return replace(
+        config, models=tuple(models) if isinstance(models, (list, tuple)) else models,
+        fit_p=int(config.fit_p), fit_q=int(config.fit_q),
+        m_list=listed("m", config.m_list, (int, float), int),
+        n_list=listed("n", config.n_list, (int, float), int),
+        replications=int(config.replications), mc_replicates=int(config.mc_replicates),
+        levels=listed("levels", config.levels, (int, float), float),
+        statistics=listed("statistics", config.statistics, str, str),
+        master_seed=int(config.master_seed), oracle=bool(config.oracle),
+    )
+
+
+def _validate_config(config: StudyConfig) -> None:
+    """Raise StudyConfigError naming the first field of `config` that is out of range."""
+    study, models = config.study, config.models
     _require(study in STUDY_KINDS, "study", f"must be one of {STUDY_KINDS}, got {study!r}")
-    models = raw.get("models")
-    _require(isinstance(models, list) and len(models) >= 1, "models",
+    _require(isinstance(models, tuple) and len(models) >= 1, "models",
              "must be a nonempty list of model descriptors")
     for i, desc in enumerate(models):
         if study == "gamma_distortion" and isinstance(desc, dict) and desc.get("type") == "ar2_sweep":
@@ -272,23 +327,11 @@ def load_study_config(source, scale: float = 1.0) -> StudyConfig:
             _require(points >= 2, f"models[{i}].points", "must be >= 2")
         else:
             build_model(desc, i)
-
-    fit = raw.get("fit", {"p": 0, "q": 0})
-    _require(isinstance(fit, dict), "fit", "must be an object with p and q")
-    fit_p, fit_q = int(fit.get("p", 0)), int(fit.get("q", 0))
+    fit_p, fit_q, m_list, n_list = config.fit_p, config.fit_q, config.m_list, config.n_list
     _require(fit_p >= 0 and fit_q >= 0, "fit", "orders must be nonnegative")
-
-    def _int_list(key, default):
-        vals = raw.get(key, default)
-        if isinstance(vals, (int, float)):
-            vals = [vals]
-        _require(isinstance(vals, list) and len(vals) >= 1, key, "must be a nonempty list")
-        out = tuple(int(v) for v in vals)
-        _require(all(v >= 1 for v in out), key, "entries must be >= 1")
-        return out
-
-    m_list = _int_list("m", [10])
-    n_list = _int_list("n", [200])
+    for key, vals in (("m", m_list), ("n", n_list)):
+        _require(len(vals) >= 1, key, "must be a nonempty list")
+        _require(all(v >= 1 for v in vals), key, "entries must be >= 1")
     if study == "power" and min(m_list) <= fit_p + fit_q:
         raise StudyConfigError(
             f"m: power studies report a chi-squared route needing m > p+q; "
@@ -297,43 +340,17 @@ def load_study_config(source, scale: float = 1.0) -> StudyConfig:
         raise StudyConfigError(
             f"n: every series length must exceed the largest lag count; "
             f"got min(n)={min(n_list)}, max(m)={max(m_list)}")
-
-    R = int(raw.get("R", 100))
-    N = int(raw.get("N", 99))
-    _require(R >= 1, "R", "must be >= 1")
-    _require(N >= 1, "N", "must be >= 1")
-    if scale != 1.0:
-        _require(scale > 0, "scale", "must be positive")
-        R = max(1, round(R / scale))
-        N = max(19, round(N / scale)) if N >= 19 else max(1, round(N / scale))
-
-    levels = raw.get("levels", [0.05])
-    if isinstance(levels, (int, float)):
-        levels = [levels]
-    _require(isinstance(levels, list) and len(levels) >= 1, "levels", "must be a nonempty list")
-    levels = tuple(float(v) for v in levels)
-    _require(all(0.0 < v < 1.0 for v in levels), "levels", "entries must lie in (0, 1)")
-
-    statistics = raw.get("statistics", ["d_hat", "ljung_box"])
-    if isinstance(statistics, str):
-        statistics = [statistics]
-    statistics = tuple(statistics)
-    _require(all(s in ("d_hat", "ljung_box", "box_pierce") for s in statistics),
+    _require(config.replications >= 1, "R", "must be >= 1")
+    _require(config.mc_replicates >= 1, "N", "must be >= 1")
+    _require(len(config.levels) >= 1, "levels", "must be a nonempty list")
+    _require(all(0.0 < v < 1.0 for v in config.levels), "levels", "entries must lie in (0, 1)")
+    _require(all(s in ("d_hat", "ljung_box", "box_pierce") for s in config.statistics),
              "statistics", "entries must be d_hat/ljung_box/box_pierce")
-
-    oracle = bool(raw.get("oracle", False))
-    if oracle:
+    if config.oracle:
         _require(study in ("size", "power"), "oracle", "only meaningful for size/power studies")
         for i, desc in enumerate(models):
             _require(desc.get("type") == "arma", f"models[{i}]",
                      "oracle mode requires ARMA models (known residual recursion)")
-
-    return StudyConfig(
-        study=study, models=tuple(models), fit_p=fit_p, fit_q=fit_q,
-        m_list=m_list, n_list=n_list, replications=R, mc_replicates=N,
-        levels=levels, statistics=statistics,
-        master_seed=int(raw.get("seed", 0)), oracle=oracle, out=raw.get("out"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +452,18 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> StudyReport:
 # size and power studies
 
 def _rejection_rows(spec, n: int, m_list, kinds, fit_p: int, fit_q: int, N: int, known_spec,
-                    want_chi2: bool, roots) -> tuple[list, np.ndarray]:
-    """MC p-values (and chi-squared Ljung-Box p-values) for the outer replicates `roots`.
+                    want_chi2: bool, levels, roots) -> tuple[list, np.ndarray]:
+    """Reject flags of the outer replicates `roots`, per (column, level).
 
     Outer replicate `root` draws its series on root.substream(0) and its inner
-    replicates on root.substream(1..N).  The attempt-0 series of all roots
-    are scored in one pass of mc_grid_rows; a root whose attempt-0 series or
-    inner replicates fail there is rerun alone by `redraw` from attempt 0,
-    the path whose counts define the study.  Returns (rows, [redraws and
-    failed replicates, nonconverged replicate refits]).
+    replicates on root.substream(1..N), curtailed at `levels`.  The
+    attempt-0 series of all roots are scored in one pass of mc_grid_rows; a
+    root whose attempt-0 series or inner replicates fail there is rerun
+    alone by `redraw` from attempt 0 through the same curtailed one-row
+    grid.  Returns (rows, [redraws and failed replicates, nonconverged
+    replicate refits, inner replicates kept by the scored attempts]); a row holds the flags of
+    the MC columns in (m, kind) order, then of the chi-squared Ljung-Box
+    column per m when `want_chi2`.
     """
     roots = list(roots)
     simulate = partial(simulate_model, spec, n)
@@ -454,23 +474,25 @@ def _rejection_rows(spec, n: int, m_list, kinds, fit_p: int, fit_q: int, N: int,
         X = np.array([simulate(stream) for stream in starts])
     fit_options = FitOptions()
     parents = [(root.master_seed, root.key) for root in roots]
-    grids = mc_grid_rows(X, fit_p, fit_q, m_list, N, parents, kinds, known_spec, fit_options)
-    rows, failures, nonconverged = [], 0, 0
+    grids = mc_grid_rows(X, fit_p, fit_q, m_list, N, parents, kinds, known_spec, fit_options,
+                         levels=levels)
+    rows, counts = [], np.zeros(3, dtype=np.int64)
     for root, grid in zip(roots, grids):
         failed = 0
         if isinstance(grid, Exception):
             grid, failed = redraw(
                 root.substream(0), simulate,
                 partial(mc_portmanteau_grid, p=fit_p, q=fit_q, m_list=m_list, N=N, kinds=kinds,
-                        base_stream=root, known_spec=known_spec, fit_options=fit_options),
+                        base_stream=root, known_spec=known_spec, fit_options=fit_options,
+                        levels=levels),
                 errors=(ValueError, ReplicateFailedError))
-        row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
+        row = [grid.rejects[(m, kind)] for m in m_list for kind in kinds]
         if want_chi2:
-            row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+            p_values = [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+            row += [tuple(p <= level for level in levels) for p in p_values]
         rows.append(row)
-        failures += failed + grid.failed_replicates
-        nonconverged += grid.nonconverged_refits
-    return rows, np.array([failures, nonconverged])
+        counts += (failed + grid.failed_replicates, grid.nonconverged_refits, grid.drawn)
+    return rows, counts
 
 
 def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
@@ -482,23 +504,25 @@ def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
     columns = [(f"{study_label}:mc_{kind}", m, N) for m in config.m_list for kind in kinds]
     if want_chi2:
         columns += [(f"{study_label}:chi2_ljung_box", m, 0) for m in config.m_list]
+    drawn = report.metadata["inner_replicates"] = []
     for i, desc in enumerate(config.models):
         mid, spec = build_model(desc, i)
         known = spec if (config.oracle and isinstance(spec, ArmaSpec)) else None
         for n in config.n_list:
             worker = partial(_rejection_rows, spec, n, config.m_list, kinds, config.fit_p,
-                             config.fit_q, N, known, want_chi2)
+                             config.fit_q, N, known, want_chi2, config.levels)
             roots = [RngStream(config.master_seed, outer) for outer in range(R)]
-            rows, (failures, nonconverged) = map_chunks(worker, roots, threads)
-            pvals = np.array(rows)
+            rows, (failures, nonconverged, replicates) = map_chunks(worker, roots, threads)
+            rejects = np.array(rows, dtype=bool)  # (outer, column, level)
             if failures:
                 report.warnings.append(f"{mid} n={n}: {failures} replicate redraws/refit retries")
             if nonconverged:
                 report.warnings.append(f"{mid} n={n}: {nonconverged} replicate refits"
                                        " did not converge")
+            drawn.append({"model_id": mid, "n": n, "drawn": int(replicates), "full": R * N})
             for col, (label, m, n_mc) in enumerate(columns):
-                for level in config.levels:
-                    est = float(np.mean(pvals[:, col] <= level))
+                for j, level in enumerate(config.levels):
+                    est = float(np.mean(rejects[:, col, j]))
                     stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / R))
                     report.add(label, mid, n, m, level, est, stderr, R, n_mc)
     _finish(report)
@@ -508,11 +532,11 @@ def _run_rejection_study(config: StudyConfig, threads: int, study_label: str,
 def run_size_study(config: StudyConfig, threads: int = 1) -> StudyReport:
     """Empirical size: rejection rate of the MC test under the null model.
 
-    Each of R outer simulated series gets a full inner MC test with N
-    replicates; the estimate is the fraction of outer replicates with
-    p-value <= level.  `oracle: true` skips all estimation (known true
-    parameters), realizing the exact finite-N rejection probability
-    floor(level*(N+1))/(N+1).
+    Each of R outer simulated series gets an inner MC test with N
+    replicates, curtailed once its decisions are fixed; the estimate is the
+    fraction of outer replicates with p-value <= level.  `oracle: true`
+    skips all estimation (known true parameters), realizing the exact
+    finite-N rejection probability floor(level*(N+1))/(N+1).
     """
     return _run_rejection_study(config, threads, "size", want_chi2=False)
 

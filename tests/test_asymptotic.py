@@ -190,7 +190,7 @@ class TestQMatrix:
 class TestInformationMatrix:
     def test_arma11_closed_form(self):
         # classical ARMA(1,1): [[1/(1-phi^2), 1/(1-phi*theta)], [., 1/(1-theta^2)]]
-        for phi, theta in [(0.3, -0.9), (-0.6, 0.3), (0.9, 0.6)]:
+        for phi, theta in [(0.3, -0.9), (-0.6, 0.3), (0.9, 0.6), (0.0, 0.5), (0.5, 0.0)]:
             J = information_matrix(ArmaSpec(ar=(phi,), ma=(theta,)))
             want = np.array([[1 / (1 - phi**2), 1 / (1 - phi * theta)],
                              [1 / (1 - phi * theta), 1 / (1 - theta**2)]])

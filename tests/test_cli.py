@@ -81,6 +81,13 @@ class TestCmdAsymptotic:
         assert payload["gamma_distortion_5pct"] == pytest.approx(0.083, abs=0.002)
         assert payload["gamma_beta_convention"] == "rate"
 
+    def test_zero_coefficient(self, capsys):
+        # phi = 0 leaves the AR polynomial without roots; the model is still identifiable
+        rc = main(["asymptotic", "--p", "1", "--q", "1", "--phi", "0", "--theta", "0.5",
+                   "--m", "10", "--json"])
+        assert rc == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["gamma_distortion_5pct"] < 1.0
+
     def test_infeasible_gamma_message(self, capsys):
         rc = main(["asymptotic", "--p", "2", "--q", "1", "--phi", "0.3", "0.1",
                    "--theta", "0.2", "--m", "7"])

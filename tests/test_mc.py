@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvport.mc as mc_module
 from gvport.arma import ArmaSpec, NotAdmissibleError
@@ -19,7 +21,9 @@ from gvport.mc import (
     mc_portmanteau_test,
     mc_test_batch,
     redraw,
+    rejection_thresholds,
     replicate_rows,
+    wave_sizes,
 )
 
 
@@ -489,3 +493,103 @@ class TestNonconvergedRefits:
         x = simulate_arma(spec, 80, RngStream(26, 0))
         grid = mc_portmanteau_grid(x, 1, 0, (5,), 19, known_spec=spec)
         assert grid.nonconverged_refits == 0
+
+
+LEVELS = (0.01, 0.05, 0.1, 0.3)
+
+
+class TestCurtailment:
+    """Decisions p <= level from curtailed replicates equal those from all N."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_thresholds_match_the_p_value_comparison(self, level):
+        for N in range(1, 1001):
+            want = max((k for k in range(N + 1) if (k + 1) / (N + 1) <= level), default=-1)
+            assert rejection_thresholds(N, (level,)).tolist() == [want], N
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(N=st.integers(1, 300), series=st.integers(1, 4), columns=st.integers(1, 4),
+           levels=st.lists(st.sampled_from(LEVELS), min_size=1, max_size=4, unique=True),
+           size=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+    def test_stop_rule(self, N, series, columns, levels, size, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.random((series, 1, columns)) ** 2  # many small exceedance rates
+        exceed = rng.random((series, N, columns)) < rates
+        failed = rng.integers(0, 3, (series, N))
+        thresholds = rejection_thresholds(N, levels)
+        levels = np.array(levels)
+
+        def rejects(count):
+            return (count[..., None] + 1) / (N + 1) <= levels
+
+        stops = []
+        for i in range(series):
+            # first prefix whose decisions no continuation can change
+            prefix = np.vstack((np.zeros((1, columns), dtype=int), np.cumsum(exceed[i], axis=0)))
+            left = N - np.arange(N + 1)[:, None]
+            fixed = ~rejects(prefix) | rejects(prefix + left)
+            stops.append(np.argmax(fixed.all(axis=(1, 2))))
+            np.testing.assert_array_equal(rejects(prefix[stops[i]]), rejects(prefix[N]))
+
+        # wave_sizes alone never passes the stop and reaches it
+        k = np.zeros((series, columns), dtype=int)
+        drawn = np.zeros(series, dtype=int)
+        while (wave := wave_sizes(k, drawn, N, thresholds)).any():
+            for i in range(series):
+                k[i] += exceed[i, drawn[i] : drawn[i] + wave[i]].sum(axis=0)
+            drawn += wave
+        assert drawn.tolist() == stops
+
+        # the engine's waves, which may draw past the stop, count up to it only
+        def worker(items):
+            rows = [(owner, stream.key[-1] - 1) for owner, stream in items]
+            flags = [[*exceed[o, j], failed[o, j], 0] for o, j in rows]
+            return [(np.array(flags, dtype=int).reshape(len(rows), -1), [None] * len(rows))], 0
+
+        parents = [(5, (i,)) for i in range(series)]
+        counts, drawn, dead = mc_module._draw_waves(worker, parents, N, columns, thresholds,
+                                                    size, 1)
+        assert drawn.tolist() == stops and not dead
+        for i, stop in enumerate(stops):
+            assert counts[i].tolist() == [*exceed[i, :stop].sum(axis=0), failed[i, :stop].sum(), 0]
+
+    def test_without_levels_one_wave_of_n(self):
+        k, drawn = np.zeros((3, 2), dtype=int), np.array([0, 4, 19])
+        assert wave_sizes(k, drawn, 19, None).tolist() == [19, 15, 0]
+
+    def test_levels_need_one_thread(self):
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,)), 40, [RngStream(3, i) for i in range(2)])
+        with pytest.raises(ValueError, match="threads"):
+            mc_grid_rows(X, 1, 0, (5,), 19, [(3, (i,)) for i in range(2)], levels=(0.05,),
+                         threads=2)
+
+    @pytest.mark.parametrize("known", [None, ArmaSpec(ar=(0.5,))])
+    def test_decisions_equal_full_n(self, monkeypatch, known):
+        spec, n, N, seed = ArmaSpec(ar=(0.5,)), 60, 39, 41
+        m_list, kinds = (4, 9), ("d_hat", "ljung_box")
+        roots = [RngStream(seed, outer) for outer in range(150)]
+        parents = [(root.master_seed, root.key) for root in roots]
+        X = simulate_arma_rows(spec, n, [root.substream(0) for root in roots])
+        # in oracle mode, inner replicate 1 + outer % 7 redraws its outer's
+        # series: its statistics tie the observed ones exactly
+        real = RngStream.generator
+        tied = {(outer, 1 + outer % 7) for outer in range(len(roots))} if known else set()
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda s: real(RngStream(s.master_seed, 0, s.key[:1]))
+                            if s.key in tied else real(s))
+        full = mc_grid_rows(X, 1, 0, m_list, N, parents, kinds, known_spec=known)
+        curtailed = mc_grid_rows(X, 1, 0, m_list, N, parents, kinds, known_spec=known,
+                                 levels=LEVELS)
+        for whole, cut in zip(full, curtailed):
+            assert whole.drawn == N and not whole.rejects and not cut.cells
+            for cell, result in whole.cells.items():
+                assert cut.rejects[cell] == tuple(result.p_value <= a for a in LEVELS)
+            assert cut.failed_replicates <= whole.failed_replicates
+        drawn = [cut.drawn for cut in curtailed]
+        assert max(drawn) <= N and sum(drawn) < 0.8 * len(roots) * N
+        if known:
+            stats, _ = replicate_rows(spec, n, m_list, kinds, 1, 0, known, FitOptions(),
+                                      [RngStream(seed, 3, (2,)), RngStream(seed, 7, (6,))])
+            for row, outer in zip(stats, (2, 6)):
+                assert row.tolist() == [full[outer].cells[(m, kind)].observed.statistic
+                                        for m in m_list for kind in kinds]

@@ -10,9 +10,9 @@ import pytest
 import gvport.mc as mc_module
 from gvport import studies
 from gvport.arma import ArmaSpec
-from gvport.diagnostics import ljung_box
-from gvport.estimation import FitOptions, fit_arma
-from gvport.generators import RngStream, simulate_arma
+from gvport.diagnostics import ljung_box, portmanteau_table, residual_acf
+from gvport.estimation import FitOptions, css_residuals, fit_arma
+from gvport.generators import RngStream
 from gvport.mc import ReplicateFailedError, mc_portmanteau_grid, redraw, replicate_rows
 from gvport.studies import (
     QQ_PROBS,
@@ -255,25 +255,22 @@ class TestNonconvergedRefits:
         assert not any("did not converge" in w for w in run_size_study(cfg).warnings)
         monkeypatch.setattr(studies, "FitOptions", lambda: self.CAPPED)
         rep = run_size_study(cfg)
-        # the same outer replicates, each through the one-series runner
-        spec, count = ArmaSpec(ar=(0.5,), ma=(-0.4,)), 0
-        for outer in range(3):
-            root = RngStream(cfg.master_seed, outer)
-            grid, _ = redraw(root.substream(0), partial(simulate_arma, spec, 60),
-                             partial(mc_portmanteau_grid, p=1, q=1, m_list=(5,), N=19,
-                                     base_stream=root, fit_options=self.CAPPED),
-                             errors=(ValueError, ReplicateFailedError))
-            count += grid.nonconverged_refits
+        # the same outer replicates, replicate by replicate up to each one's stop
+        roots = [RngStream(cfg.master_seed, outer) for outer in range(3)]
+        _, (_, count, _) = curtailed_rejection_rows(ArmaSpec(ar=(0.5,), ma=(-0.4,)), 60, (5,),
+                                                    ("d_hat",), 1, 1, 19, None, False, (0.05,),
+                                                    roots)
         assert count > 0
         assert f"arma11 n=60: {count} replicate refits did not converge" in rep.warnings
 
 
 # ---------------------------------------------------------------------------
-# the per-root size and power runner before pooled outer replicates, kept as a reference
+# references for the size and power runner: the per-root full-N runner before
+# pooled outer replicates, and a replicate-by-replicate walk of the curtailed rule
 
 def reference_rejection_rows(spec, n, m_list, kinds, fit_p, fit_q, N, known_spec, want_chi2,
-                             roots):
-    """One `redraw` of mc_portmanteau_grid per outer replicate, in root order."""
+                             levels, roots):
+    """One `redraw` of the full-N mc_portmanteau_grid per outer replicate, in root order."""
     simulate = partial(studies.simulate_model, spec, n)
     rows, failures, nonconverged = [], 0, 0
     for root in roots:
@@ -282,13 +279,75 @@ def reference_rejection_rows(spec, n, m_list, kinds, fit_p, fit_q, N, known_spec
             lambda x: mc_portmanteau_grid(x, fit_p, fit_q, m_list, N, kinds=kinds,
                                           base_stream=root, known_spec=known_spec),
             errors=(ValueError, ReplicateFailedError))
-        row = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
+        p_values = [grid.cells[(m, kind)].p_value for m in m_list for kind in kinds]
         if want_chi2:
-            row += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
-        rows.append(row)
+            p_values += [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1]
+                         for m in m_list]
+        rows.append([[p <= level for level in levels] for p in p_values])
         failures += failed + grid.failed_replicates
         nonconverged += grid.nonconverged_refits
-    return rows, np.array([failures, nonconverged])
+    return rows, np.array([failures, nonconverged, len(rows) * N])
+
+
+def replicate_score(p, q, m_list, kinds, known_spec, fit_options, x):
+    """The (m, kind) statistics of one series, its ACF, and whether its refit stayed unconverged."""
+    if known_spec is None:
+        fit = fit_arma(x, p, q, fit_options)
+        resid, unconverged = fit.residuals, not fit.converged
+    else:
+        resid, unconverged = css_residuals(x, known_spec), False
+    acf = residual_acf(resid, max(m_list))
+    return portmanteau_table(acf, m_list, kinds).ravel(), acf, unconverged
+
+
+def curtailed_outer(root, p, q, m_list, kinds, N, known_spec, levels, x):
+    """One attempt of outer replicate `root` on series x, one replicate at a time.
+
+    Replicates are drawn in key order until every decision p <= level is
+    fixed whatever the replicates left would show.  Returns (p-values at the
+    stop, observed ACF, failed attempts, nonconverged refits, replicates
+    drawn); raises like the engine when a stream dies or failures exceed N.
+    """
+    fit_options = studies.FitOptions()
+    score = partial(replicate_score, p, q, m_list, kinds, known_spec, fit_options)
+    observed, acf, _ = score(x)
+    spec = known_spec if known_spec is not None else fit_arma(x, p, q, fit_options).spec
+    simulate = partial(mc_module.simulate_arma, spec, len(x))  # the engine's, as patched
+    levels = np.array(levels)
+    k = np.zeros(len(observed), dtype=int)
+    failures = nonconverged = drawn = 0
+
+    def fixed():
+        smallest, largest = (k[:, None] + 1) / (N + 1), (k[:, None] + N - drawn + 1) / (N + 1)
+        return np.all((smallest > levels) | (largest <= levels))
+
+    while not fixed():
+        drawn += 1
+        (stats, _, unconverged), failed = redraw(root.substream(drawn), simulate, score)
+        k += stats >= observed
+        failures += failed
+        nonconverged += unconverged
+    if failures > N:
+        raise ReplicateFailedError(f"{failures} replicate failures exceeded N={N}; aborting")
+    return (k + 1) / (N + 1), acf, failures, nonconverged, drawn
+
+
+def curtailed_rejection_rows(spec, n, m_list, kinds, fit_p, fit_q, N, known_spec, want_chi2,
+                             levels, roots):
+    """`redraw` of curtailed_outer per outer replicate: rows and counts as _rejection_rows."""
+    rows, counts = [], np.zeros(3, dtype=int)
+    for root in roots:
+        (p_values, acf, failures, nonconverged, drawn), failed = redraw(
+            root.substream(0), partial(studies.simulate_model, spec, n),
+            partial(curtailed_outer, root, fit_p, fit_q, tuple(m_list), tuple(kinds), N,
+                    known_spec, levels),
+            errors=(ValueError, ReplicateFailedError))
+        p_values = list(p_values)
+        if want_chi2:
+            p_values += [ljung_box(acf.prefix(m), fit_p + fit_q)[1] for m in m_list]
+        rows.append([[p <= level for level in levels] for p in p_values])
+        counts += (failed + failures, nonconverged, drawn)
+    return rows, counts
 
 
 class ZeroGenerator:
@@ -309,9 +368,10 @@ class InjectedFailures:
     - Inner replicate j of outer o fails its attempt 0 when 7o + j is a
       multiple of 11, and its redraw succeeds.
     - Under outer 3's attempt-0 fitted spec, every inner replicate fails
-      attempts 0 and 1: 2N failures, more than N.
-    - Under outer 5's attempt-0 fitted spec, inner stream 2 fails all
-      REDRAW_ATTEMPTS attempts.
+      attempts 0 to 8: more than N failures once 3 replicates are drawn,
+      which outer 3 reaches before its stop on these inputs.
+    - Under outer 5's attempt-0 fitted spec, inner stream 1, which every
+      open test draws, fails all REDRAW_ATTEMPTS attempts.
 
     A failing replicate is the zero series, which a fit rejects as constant
     and a known spec with mean 0 filters to zero residuals.  Outers 3 and 5
@@ -343,9 +403,9 @@ class InjectedFailures:
     def doomed(self, key, spec) -> str | None:
         if len(key) == 2 and (7 * key[0] + key[1]) % 11 == 0:
             return "redraw"
-        if key[0] == 3 and spec in self.exceed and (len(key) == 2 or key[2] == 1):
+        if key[0] == 3 and spec in self.exceed and (len(key) == 2 or key[2] < 9):
             return "exceed"
-        if key[:2] == (5, 2) and spec in self.dead:
+        if key[:2] == (5, 1) and spec in self.dead:
             return "dead"
         return None
 
@@ -359,6 +419,23 @@ class InjectedFailures:
                     self.fired.add(path)
             return X
         return simulate_rows
+
+
+class LateDeadStream(InjectedFailures):
+    """InjectedFailures, and under outer 6's attempt-0 fitted spec inner stream 19
+    fails all REDRAW_ATTEMPTS attempts: a stream past outer 6's stop on these inputs."""
+
+    def __init__(self, monkeypatch, cfg):
+        super().__init__(monkeypatch, cfg, fitted=True)
+        (desc,), (n,) = cfg.models, cfg.n_list
+        x = studies.simulate_model(build_model(desc, 0)[1], n,
+                                   RngStream(cfg.master_seed, 6).substream(0))
+        self.late = fit_arma(x, cfg.fit_p, cfg.fit_q).spec
+
+    def doomed(self, key, spec):
+        if key[:2] == (6, 19) and spec == self.late:
+            return "late"
+        return super().doomed(key, spec)
 
 
 class TestAgainstReferenceRunner:
@@ -387,7 +464,13 @@ class TestAgainstReferenceRunner:
         injected = InjectedFailures(monkeypatch, cfg, fitted=not cfg.oracle)
         with monkeypatch.context() as patch:
             patch.setattr(studies, "_rejection_rows", reference_rejection_rows)
+            full_n, _ = self.run(cfg)
+            # warnings count failures and refits of replicates 1..stop only
+            patch.setattr(studies, "_rejection_rows", curtailed_rejection_rows)
             want = self.run(cfg)
+        assert want[0] == full_n
+        injected.fired.clear(), injected.drawn.clear()
+        assert self.run(cfg) == want
         assert injected.fired == ({"redraw"} if cfg.oracle else {"redraw", "exceed", "dead"})
         # outers whose attempt 0 failed, and only those, drew an attempt-1 series
         redrawn = {key for key in injected.drawn if key[1:] == (0, 1)}
@@ -399,10 +482,31 @@ class TestAgainstReferenceRunner:
                 rep = studies.run_study(cfg, threads=threads)
                 assert (rep.csv_text(), rep.warnings) == want, (size, threads)
 
+    def test_dead_stream_past_the_stop(self, monkeypatch):
+        # the full-N test of outer 6 meets the dead stream and redraws the
+        # outer series; the curtailed test stops first and scores attempt 0,
+        # although the pooled runner draws that stream in a wave past the stop
+        cfg = tiny_config(R=8, N=19, **self.CONFIGS["size_fitted"])
+        injected = LateDeadStream(monkeypatch, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(studies, "_rejection_rows", reference_rejection_rows)
+            self.run(cfg)
+            assert "late" in injected.fired and (6, 0, 1) in injected.drawn
+            patch.setattr(studies, "_rejection_rows", curtailed_rejection_rows)
+            want = self.run(cfg)
+        injected.fired.clear(), injected.drawn.clear()
+        assert self.run(cfg) == want
+        assert injected.fired == {"redraw", "exceed", "dead", "late"}
+        assert (6, 0, 1) not in injected.drawn
+        for threads in (1, 2):
+            rep = studies.run_study(cfg, threads=threads)
+            assert (rep.csv_text(), rep.warnings) == want
+
     def test_unrecoverable_outer_raises_alike(self, monkeypatch):
         # with a known spec the inner replicates repeat on every outer attempt,
-        # so an outer whose inner failures exceed N fails all its attempts
-        cfg = tiny_config(oracle=True, R=6, N=19)
+        # so an outer whose inner failures exceed N fails all its attempts; at
+        # level 0.3 every attempt draws at least 6 replicates, 54 failures
+        cfg = tiny_config(oracle=True, R=6, N=19, levels=[0.3])
         injected = InjectedFailures(monkeypatch, cfg, fitted=False)
         injected.exceed.add(ArmaSpec(ar=(0.5,)))
         with monkeypatch.context() as patch:
@@ -466,6 +570,23 @@ class TestDeterminismAndOutputs:
         ja["metadata"].pop("started_unix"), jb["metadata"].pop("started_unix")
         assert ja == jb
 
+    def test_inner_replicates_drawn_reported_in_json_only(self, monkeypatch):
+        cfg = tiny_config(R=10, N=19, m=[3, 5], levels=[0.05, 0.1],
+                          statistics=["d_hat", "ljung_box"])
+        rep = run_size_study(cfg)
+        (entry,) = json.loads(rep.json_text())["metadata"]["inner_replicates"]
+        roots = [RngStream(cfg.master_seed, outer) for outer in range(10)]
+        _, (_, _, drawn) = curtailed_rejection_rows(ArmaSpec(ar=(0.5,)), 60, (3, 5),
+                                                    ("d_hat", "ljung_box"), 1, 0, 19, None,
+                                                    False, (0.05, 0.1), roots)
+        assert entry == {"model_id": "ar1", "n": 60, "drawn": drawn, "full": 190}
+        assert 0 < drawn < 190
+        with monkeypatch.context() as patch:
+            patch.setattr(studies, "_rejection_rows", reference_rejection_rows)
+            full_n = run_size_study(cfg)
+        assert full_n.metadata["inner_replicates"][0]["drawn"] == 190
+        assert rep.csv_text() == full_n.csv_text()
+
     def test_every_study_csv_parses_to_the_header_width(self):
         # ar2_sweep ids and multi-coefficient ARMA ids hold commas
         reports = [
@@ -500,6 +621,15 @@ class TestStudyConfigRoundTrip:
         cfg = tiny_config()
         again = load_study_config(cfg)
         assert again == cfg
+
+    def test_config_lists_given_as_lists_or_tuples(self):
+        cfg = tiny_config(statistics=("d_hat",), m=(3, 5))
+        assert (cfg.statistics, cfg.m_list) == (("d_hat",), (3, 5))
+        listed = StudyConfig(study="size", models=[AR1_MODEL], m_list=[3, 5], n_list=[60],
+                             levels=[0.1], statistics=["d_hat"])
+        assert load_study_config(listed) == StudyConfig(
+            study="size", models=(AR1_MODEL,), m_list=(3, 5), n_list=(60,), levels=(0.1,),
+            statistics=("d_hat",))
 
     def test_dataclass_fields(self):
         cfg = StudyConfig(study="size", models=(AR1_MODEL,))
