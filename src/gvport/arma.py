@@ -71,8 +71,8 @@ def poly_root_moduli(coeffs) -> np.ndarray:
 
     Degree 1 and 2 use closed forms; higher degrees use companion-matrix
     eigenvalues (trailing zero coefficients are trimmed first).  Used only
-    where a decay rate is needed (burn-in length, series truncation);
-    admissibility is decided by is_admissible_poly.
+    for the decay rate that sets the burn-in length; admissibility is
+    decided by is_admissible_poly.
     """
     c = _as_coeff_array(coeffs)
     # trailing zeros lower the effective degree

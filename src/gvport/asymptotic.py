@@ -7,7 +7,10 @@ covariance matrix of the normalized residual autocorrelations,
     C_m = I_m - X_m J^{-1} X_m',
 
 with X_m holding the reciprocal-polynomial weights of 1/phi(B) and
-1/theta(B) and J the full-series information matrix lim X_L' X_L.  The
+1/theta(B) and J the full-series information matrix lim X_L' X_L.  J is
+computed exactly, as the stationary covariance of the joint state of the
+processes 1/phi(B) a_t and 1/theta(B) a_t: one Stein-equation solve of
+size (p+q)^2, however close the roots lie to the unit circle.  The
 m-truncated surrogate J ~ X_m' X_m (an exact projection) is also provided;
 it agrees closely once the weights have died out within m lags but visibly
 distorts tail probabilities for parameters near the unit circle, so the
@@ -31,7 +34,8 @@ only in the second case, in practice for spectra with very few weights,
 does the rest run as a sin/cos-weighted Fourier integral (scalar `quad`).
 Quantiles come from a safeguarded Newton iteration started at the quantile
 of the gamma law with the mixture's mean and variance; its density,
-(1/2 pi) int_0^inf cos(theta(u)) / rho(u) du, uses the same panels.
+(1/2 pi) int_0^inf cos(theta(u)) / rho(u) du, comes from the same pass
+over the panels as F, so each step integrates once.
 
 A two-moment gamma surrogate with shape alpha and RATE beta is provided for
 comparison, together with the size distortion a nominal-level gamma test
@@ -48,7 +52,7 @@ import numpy as np
 from scipy import stats
 from scipy.integrate import quad
 
-from .arma import ArmaSpec, poly_root_moduli, psi_weights_reciprocal, require_admissible
+from .arma import ArmaSpec, psi_weights_reciprocal, require_admissible
 
 # eigenvalues this small contribute nothing and break the truncation bound
 EIGENVALUE_FLOOR = 1e-12
@@ -62,7 +66,6 @@ _DIRECT_PERIODS = 200.0
 _BLOCK_ELEMENTS = 1 << 16
 _QUANTILE_RTOL = 1e-11
 _NEWTON_MAX_STEPS = 100
-_INFO_SERIES_CAP = 500_000
 
 
 class RankDeficientError(ValueError):
@@ -116,17 +119,12 @@ def x_matrix(spec: ArmaSpec, m: int) -> np.ndarray:
     k = spec.p + spec.q
     if m < k:
         warnings.warn(f"m={m} is below the fitted parameter count p+q={k}", stacklevel=2)
-    return _weight_columns(spec, m)
-
-
-def _weight_columns(spec: ArmaSpec, rows: int) -> np.ndarray:
-    """The x_matrix layout with any number of rows (information_matrix uses L)."""
-    X = np.zeros((rows, spec.p + spec.q))
+    X = np.zeros((m, k))
     for offset, coeffs in ((0, spec.ar), (spec.p, spec.ma)):
         if len(coeffs):
-            w = psi_weights_reciprocal(coeffs, rows)
+            w = psi_weights_reciprocal(coeffs, m)
             for j in range(len(coeffs)):
-                X[j:, offset + j] = w[: rows - j]
+                X[j:, offset + j] = w[: m - j]
     return X
 
 
@@ -155,30 +153,30 @@ def q_matrix(X: np.ndarray, m: int) -> np.ndarray:
 
 
 def information_matrix(spec: ArmaSpec) -> np.ndarray:
-    """Full-series Gram matrix J = lim_L X_L' X_L of the reciprocal weights.
+    """Full-series Gram matrix J = lim_L X_L' X_L of the reciprocal weights, exactly.
 
-    Entries are the lagged cross-products of the 1/phi(B) and 1/theta(B)
-    expansions, summed until the geometric tail is below 1e-14 relative
-    (truncation length set by the smallest root modulus, capped).
+    With u = a/phi(B) and v = a/theta(B) driven by the same unit-variance
+    noise a, J is the covariance of the state s_t = (u_{t..t-p+1},
+    v_{t..t-q+1}).  The state follows s_t = F s_{t-1} + b a_t with F
+    block-diagonal in the two companion matrices, so J solves the Stein
+    equation J = F J F' + b b' (McLeod 1978; Box, Jenkins & Reinsel ch. 7):
+    one linear solve of size (p+q)^2, symmetrized against roundoff.
     """
     require_admissible(spec)
     k = spec.p + spec.q
     if k == 0:
         return np.zeros((0, 0))
-    moduli = [poly_root_moduli(c) for c in (spec.ar, spec.ma) if len(c)]
-    # an all-zero coefficient tuple has no roots and finitely many weights
-    r = min((m.min() for m in moduli if len(m)), default=math.inf)
-    # |psi_l| ~ r^{-l}; products decay like r^{-2l}
-    L = int(math.ceil(-0.5 * math.log(1e-16) / math.log(r))) + 64
-    if L > _INFO_SERIES_CAP:
-        warnings.warn(
-            f"information-matrix series truncated at {_INFO_SERIES_CAP} terms "
-            f"(root modulus {r:.3e} is nearly on the unit circle)",
-            stacklevel=2,
-        )
-        L = _INFO_SERIES_CAP
-    Xb = _weight_columns(spec, L)
-    J = Xb.T @ Xb
+    F = np.zeros((k, k))
+    b = np.zeros(k)
+    for offset, coeffs in ((0, spec.ar), (spec.p, spec.ma)):
+        if len(coeffs):
+            companion = F[offset : offset + len(coeffs), offset : offset + len(coeffs)]
+            companion[0] = coeffs
+            companion[1:, :-1] = np.eye(len(coeffs) - 1)
+            b[offset] = 1.0
+    vec = np.linalg.solve(np.eye(k * k) - np.kron(F, F), np.outer(b, b).ravel())
+    J = vec.reshape(k, k)
+    J = 0.5 * (J + J.T)
     if np.linalg.matrix_rank(J) < k:
         raise RankDeficientError(
             "information matrix is singular; the AR and MA polynomials share "
@@ -318,39 +316,27 @@ def _fourier_tail(x: float, lam: np.ndarray, start: float) -> float:
     return ic - is_
 
 
-def _direct_stop(x: float, lam: np.ndarray, tail_tol: float) -> tuple[float, float]:
-    """(truncation point, end of the panel range): the panels stop after 200 periods."""
-    bound = _truncation_point(lam, tail_tol)
-    return bound, min(bound, _DIRECT_PERIODS * 4.0 * math.pi / x)
+def _cdf_and_density(x: float, lam: np.ndarray) -> tuple[float, float]:
+    """F(x) clipped to [0, 1] and the density f(x), from one pass over the panels.
 
-
-def _imhof_upper_tail(x: float, lam: np.ndarray, tail_tol: float = _TAIL_TOL) -> float:
-    """P(sum lambda_r chi2_1 > x) by characteristic-function inversion.
-
-    lam holds positive weights sorted descending.  The integral is truncated
-    at the smallest Imhof bound over the k largest weights
-    (_truncation_point), so tiny weights do not push it out.  Fixed
-    Gauss-Legendre panels (_direct_range: 20 nodes, widths from 1/||lambda||
-    doubling up to two periods of the oscillation) cover
-    [0, min(bound, 200 periods)].  Only when the bound lies beyond 200
-    periods, in practice for spectra with very few weights, does the rest
-    run as a weighted Fourier integral (_fourier_tail).
+    1 - F = 1/2 + (1/pi) int_0^inf sin theta(u)/(u rho(u)) du is truncated at
+    the smallest Imhof bound over the k largest weights (_truncation_point),
+    so tiny weights do not push it out.  Fixed Gauss-Legendre panels
+    (_direct_range: 20 nodes, widths from 1/||lambda|| doubling up to two
+    periods of the oscillation) cover [0, min(bound, 200 periods)].  Only
+    when the bound lies beyond 200 periods, in practice for spectra with very
+    few weights, does the rest run as a weighted Fourier integral
+    (_fourier_tail).  f = (1/2 pi) int_0^inf cos theta(u)/rho(u) du comes
+    from the same panels without a tail, so it is approximate for one or two
+    weights, which only slows the Newton steps that use it.
     """
-    bound, stop = _direct_stop(x, lam, tail_tol)
-    total, _ = _direct_range(x, lam, stop)
+    bound = _truncation_point(lam, _TAIL_TOL)
+    stop = min(bound, _DIRECT_PERIODS * 4.0 * math.pi / x)
+    sin_sum, cos_sum = _direct_range(x, lam, stop)
     if stop < bound:
-        total += _fourier_tail(x, lam, stop)
-    return 0.5 + total / math.pi
-
-
-def _imhof_density(x: float, lam: np.ndarray) -> float:
-    """Density (1/2 pi) int_0^inf cos theta(u)/rho(u) du over the panels of the CDF.
-
-    Without the Fourier tail the value is approximate for one or two weights,
-    which only slows the Newton steps that use it.
-    """
-    _, stop = _direct_stop(x, lam, _TAIL_TOL)
-    return _direct_range(x, lam, stop)[1] / (2.0 * math.pi)
+        sin_sum += _fourier_tail(x, lam, stop)
+    upper = 0.5 + sin_sum / math.pi
+    return min(max(1.0 - upper, 0.0), 1.0), cos_sum / (2.0 * math.pi)
 
 
 def _positive_weights(spectrum: EigenSpectrum | np.ndarray) -> np.ndarray:
@@ -377,19 +363,18 @@ def imhof_cdf(x: float, spectrum: EigenSpectrum | np.ndarray) -> float:
         return 0.0
     if x == math.inf:
         return 1.0
-    upper = _imhof_upper_tail(x, lam)
-    return min(max(1.0 - upper, 0.0), 1.0)
+    return _cdf_and_density(x, lam)[0]
 
 
 def imhof_quantile(prob: float, spectrum: EigenSpectrum | np.ndarray) -> float:
     """Inverse of imhof_cdf by safeguarded Newton iteration.
 
     Starts from the quantile of the gamma law with the mean sum(lambda) and
-    variance 2 sum(lambda^2) of the mixture; each step takes F from
-    imhof_cdf and the density from _imhof_density, and keeps a bracket
-    [lo, hi] around the root: a step that leaves it bisects (or doubles x
-    while no upper end is known).  Stops when a step moves x by at most
-    1e-11 relative.
+    variance 2 sum(lambda^2) of the mixture; each step takes F and the
+    density from one pass over the panels (_cdf_and_density) and keeps a
+    bracket [lo, hi] around the root: a step that leaves it bisects (or
+    doubles x while no upper end is known).  Stops when a step moves x by
+    at most 1e-11 relative.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly between 0 and 1")
@@ -400,14 +385,13 @@ def imhof_quantile(prob: float, spectrum: EigenSpectrum | np.ndarray) -> float:
         x = mean
     lo, hi = 0.0, math.inf
     for _ in range(_NEWTON_MAX_STEPS):
-        F = imhof_cdf(x, lam)
+        F, density = _cdf_and_density(x, lam)
         if F < prob:
             lo = x
         elif F > prob:
             hi = x
         else:
             return x
-        density = _imhof_density(x, lam)
         nxt = x + (prob - F) / density if density > 0.0 else math.nan
         if not lo < nxt < hi:
             nxt = 2.0 * x if hi == math.inf else 0.5 * (lo + hi)

@@ -344,6 +344,7 @@ def _validate_config(config: StudyConfig) -> None:
     _require(config.mc_replicates >= 1, "N", "must be >= 1")
     _require(len(config.levels) >= 1, "levels", "must be a nonempty list")
     _require(all(0.0 < v < 1.0 for v in config.levels), "levels", "entries must lie in (0, 1)")
+    _require(len(config.statistics) >= 1, "statistics", "must be a nonempty list")
     _require(all(s in ("d_hat", "ljung_box", "box_pierce") for s in config.statistics),
              "statistics", "entries must be d_hat/ljung_box/box_pierce")
     if config.oracle:

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestConfigLoading:
     def test_bad_level(self):
         with pytest.raises(StudyConfigError, match="levels"):
             tiny_config(levels=[1.5])
+
+    def test_empty_statistics(self):
+        with pytest.raises(StudyConfigError, match="statistics"):
+            tiny_config(statistics=[])
+        with pytest.raises(StudyConfigError, match="statistics"):
+            load_study_config(replace(tiny_config(), statistics=()))
 
     def test_bad_counts(self):
         with pytest.raises(StudyConfigError, match="R"):
