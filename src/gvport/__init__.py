@@ -50,7 +50,7 @@ from .generators import (
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import McTestResult, ReplicateFailedError, mc_portmanteau_test, mc_test_batch
+from .mc import McTestResult, ReplicateFailedError, mc_portmanteau_test
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "lambda_spectrum",
     "ljung_box",
     "mc_portmanteau_test",
-    "mc_test_batch",
     "psi_weights_reciprocal",
     "q_matrix",
     "residual_acf",

@@ -105,10 +105,10 @@ def _geometric_burn_in(decay: float, floor_extra: int = 0) -> int:
 
 
 def arma_burn_in(spec: ArmaSpec) -> int:
-    if spec.p == 0:
-        return _geometric_burn_in(0.0, floor_extra=spec.q + 1)
-    r = float(np.min(poly_root_moduli(spec.ar)))
-    return _geometric_burn_in(1.0 / r, floor_extra=spec.q + 1)
+    """Burn-in of the slowest AR root; an AR part without roots (all zero) burns as p = 0."""
+    moduli = poly_root_moduli(spec.ar) if spec.p else ()
+    decay = 1.0 / float(np.min(moduli)) if len(moduli) else 0.0
+    return _geometric_burn_in(decay, floor_extra=spec.q + 1)
 
 
 def simulate_arma_rows(spec: ArmaSpec, n: int, streams) -> np.ndarray:

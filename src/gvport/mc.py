@@ -8,23 +8,24 @@ observed one (ties count), the p-value is (k+1)/(N+1).
 Each replicate owns one substream of the master seed and any refit-failure
 redraw owns a (replicate, attempt) substream, so the result is a pure
 function of (series, orders, m, N, statistic kind, master seed) regardless
-of how many workers execute the replicates.  `redraw` is that rule for
-every replicate loop, here and in the study runners, and `map_chunks` is
-the one place replicates are spread over worker processes.
+of how many workers execute the replicates.  `redraw_rows` is that rule
+for every replicate loop, here and in the study runners: attempt 0 of a
+row draws on its stream and attempt a on stream.substream(a), and attempt
+a of every row still failing is scored as one batch.  `map_chunks` is the
+one place replicates are spread over worker processes.
 
-Replicates are scored in two phases (`_score_block`).  Phase one takes
-blocks of at most BLOCK_ROWS consecutive streams (fewer when a block would
-hold more than BLOCK_VALUES simulated values) and runs attempt 0 of every
-row as arrays: one simulation, one batched refit (or one residual filter
-for a known spec), one autocorrelation pass and one Durbin-Levinson pass.
-A row fails where the one-series path would raise ValueError: an
-inadmissible or impossible fit, zero residuals, an autocorrelation outside
-[-1, 1], or a partial outside (-1, 1).  Phase two redraws each failed row
-alone through `redraw`, from its stream's substream(1) on.  Every kernel
-computes a row from that row alone, with the same operations in the same
-order for any number of rows, so a row's statistics are bit-identical
-whether it is scored alone, in a short block or in a full one: results do
-not depend on block boundaries or on the number of workers.
+Replicates are scored in blocks (`_score_items`) of at most BLOCK_ROWS
+consecutive streams (fewer when a block would hold more than BLOCK_VALUES
+simulated values).  Each attempt of a block runs as arrays: one
+simulation, one batched refit (or one residual filter for a known spec),
+one autocorrelation pass and one Durbin-Levinson pass.  A row fails where
+the one-series path would raise ValueError: an inadmissible or impossible
+fit, zero residuals, an autocorrelation outside [-1, 1], or a partial
+outside (-1, 1).  Every kernel computes a row from that row alone, with
+the same operations in the same order for any number of rows, so a row's
+statistics are bit-identical whether it is scored alone, in a short block
+or in a full one: results do not depend on block boundaries, on which
+rows share an attempt, or on the number of workers.
 
 `mc_grid_rows` runs many MC tests at once, one per row of a block of
 observed series (a study's outer replicates), and `mc_portmanteau_grid` is
@@ -35,7 +36,8 @@ series' replicate spec (one simulation per distinct spec in a block) and
 the refits, ACFs and statistics of the block run as one.  Each series'
 exceedance counts are accumulated block by block.  A series whose test
 would raise gets that error in place of its result.  `replicate_rows`
-keeps every statistics row, for the convergence study.
+keeps every statistics row, for the convergence study; both run the same
+block loop and differ only in how a block is reduced.
 
 Given significance levels, `mc_grid_rows` returns only the decisions
 p <= level, and curtails each series' replicates (Besag & Clifford 1991):
@@ -82,11 +84,11 @@ from .estimation import (
     css_residual_rows,
     fit_arma_rows,
 )
-from .generators import RngStream, arma_burn_in, simulate_arma, simulate_arma_rows
+from .generators import RngStream, arma_burn_in, simulate_arma_rows
 
 MC_STATISTICS = ("d_hat", "ljung_box", "box_pierce")
 REDRAW_ATTEMPTS = 10
-# Phase-one blocks: at most BLOCK_ROWS replicates and BLOCK_VALUES simulated
+# Replicate blocks: at most BLOCK_ROWS replicates and BLOCK_VALUES simulated
 # values (burn-in included), which bounds the memory of a block's arrays.
 BLOCK_ROWS = 128
 BLOCK_VALUES = 2**17
@@ -125,23 +127,42 @@ class ReplicateFailedError(RuntimeError):
     the redraws of one MC test outnumbered its N replicates."""
 
 
-def redraw(stream: RngStream, simulate, score, errors=ValueError, first: int = 0):
-    """Draw on `stream`, then on stream.substream(1), (2), ... until `score` succeeds.
+def redraw_rows(streams, simulate, score) -> tuple:
+    """Score every stream on its first attempt that succeeds, one batch per attempt.
 
-    `simulate(stream)` makes the candidate outside the `try`, so its errors
-    propagate; `score(candidate)` raising one of `errors` fails the attempt.
-    Attempts before `first` count as already failed.  Returns (score value,
-    failed attempts).  Raises ReplicateFailedError when all REDRAW_ATTEMPTS
-    attempts fail.
+    Attempt 0 of row i draws on streams[i] and attempt a on
+    streams[i].substream(a).  `simulate(rows, attempt_streams)` makes the
+    candidates of the rows `rows` (an index array), and `score(candidates)`
+    returns (*values, ok): sequences with one entry per candidate, and a
+    bool array of which could be scored; errors of either propagate.
+    Attempt a of every row still failing is scored as one batch, up to
+    REDRAW_ATTEMPTS attempts.  Returns (values, failed, dead) in stream
+    order: each row's values from its scored attempt, that attempt's index
+    (its failed attempts), and the ReplicateFailedError of a row that
+    failed every attempt, or None; a dead row's values and failed count are
+    meaningless.
     """
-    for attempt in range(first, REDRAW_ATTEMPTS):
-        candidate = simulate(stream if attempt == 0 else stream.substream(attempt))
-        try:
-            return score(candidate), attempt
-        except errors:
-            pass
-    raise ReplicateFailedError(f"replicate on stream {stream.key} of seed {stream.master_seed} "
-                               f"failed {REDRAW_ATTEMPTS} times in a row")
+    rows = np.arange(len(streams))
+    failed = np.zeros(len(streams), dtype=int)
+    for attempt in range(REDRAW_ATTEMPTS):
+        keys = streams if attempt == 0 else [streams[i].substream(attempt) for i in rows]
+        *got, ok = score(simulate(rows, keys))
+        if attempt == 0:
+            values = got
+        else:
+            for j in np.flatnonzero(ok).tolist():
+                for out, new in zip(values, got):
+                    out[rows[j]] = new[j]
+        failed[rows] = attempt
+        rows = rows[~ok]
+        if not len(rows):
+            break
+    dead = [None] * len(streams)
+    for i in rows.tolist():
+        dead[i] = ReplicateFailedError(f"replicate on stream {streams[i].key} of seed "
+                                       f"{streams[i].master_seed} failed {REDRAW_ATTEMPTS} "
+                                       "times in a row")
+    return values, failed, dead
 
 
 def map_chunks(worker, items, threads: int) -> tuple[list, int]:
@@ -185,97 +206,81 @@ def _score_rows(m_list, kinds, p: int, q: int, known_spec, fit_options, X):
     return values.reshape(len(X), -1), nonconverged, ok
 
 
-def _score_one(score, x):
-    """`score` on the one-row block x; ValueError when the row fails."""
-    stats, nonconverged, ok = score(x[None])
-    if not ok[0]:
-        raise ValueError("replicate could not be scored")
-    return stats[0], bool(nonconverged[0])
-
-
 def _block_size(specs, n: int) -> int:
-    """Rows of a phase-one block whose rows are drawn from any of `specs`."""
+    """Rows of a replicate block whose rows are drawn from any of `specs`."""
     burn = max(arma_burn_in(spec) for spec in specs)
     return max(1, min(BLOCK_ROWS, BLOCK_VALUES // (n + burn)))
 
 
-def _simulate_block(specs, which, n: int, streams) -> np.ndarray:
-    """simulate_arma_rows of streams[i] under specs[which[i]], one call per spec used."""
+def _simulate_block(specs, which, n: int, rows, streams) -> np.ndarray:
+    """simulate_arma_rows of streams[i] under specs[which[rows[i]]], one call per spec used."""
+    which = which[rows]
     X = np.empty((len(streams), n))
     for s in np.unique(which).tolist():
-        rows = np.flatnonzero(which == s)
-        X[rows] = simulate_arma_rows(specs[s], n, [streams[i] for i in rows])
+        at = np.flatnonzero(which == s)
+        X[at] = simulate_arma_rows(specs[s], n, [streams[i] for i in at])
     return X
 
 
-def _score_block(score, specs, which, n: int, streams) -> tuple:
-    """Replicates of specs[which[i]] on streams[i]: phase one as one block, then failed rows alone.
+def _score_items(specs, which, size: int, n: int, m_list, kinds, p: int, q: int, known_spec,
+                 fit_options, reduce, items) -> tuple:
+    """Score the replicates `items`, (owner, stream) pairs, in blocks of `size` streams.
 
-    Returns per stream (statistics row, failed attempts, nonconverged refit,
-    dead): dead[i] is the ReplicateFailedError of a stream that failed every
-    attempt, or None; a dead stream's other entries are meaningless.
+    Owner o's replicates are drawn from specs[which[o]], and blocks are
+    taken across owners.  redraw_rows scores each attempt of a block as
+    rows, and the block is passed, as soon as it is scored, to
+    `reduce(owners, stats, failed, nonconverged, dead) -> (rows, counts)`:
+    per stream its statistics row, failed attempts, nonconverged refit and
+    dead error (see redraw_rows).  Returns the blocks' rows joined and
+    their counts summed: a map_chunks worker.
     """
-    stats, nonconverged, ok = score(_simulate_block(specs, which, n, streams))
-    nonconverged &= ok
-    failed = np.zeros(len(streams), dtype=int)
-    dead = [None] * len(streams)
-    for i in np.flatnonzero(~ok):
-        try:
-            (stats[i], nonconverged[i]), failed[i] = redraw(
-                streams[i], partial(simulate_arma, specs[which[i]], n),
-                partial(_score_one, score), first=1)
-        except ReplicateFailedError as err:
-            dead[i] = err
-    return stats, failed, nonconverged, dead
+    score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
+    rows, counts = [], 0
+    items = iter(items)
+    while block := list(islice(items, size)):
+        owners = np.array([owner for owner, _ in block])
+        (stats, nonconverged), failed, dead = redraw_rows(
+            [stream for _, stream in block], partial(_simulate_block, specs, which[owners], n),
+            score)
+        got, more = reduce(owners, stats, failed, nonconverged, dead)
+        rows.extend(got)
+        counts = counts + more
+    return rows, counts
+
+
+def _keep_rows(owners, stats, failed, nonconverged, dead) -> tuple:
+    """Reduce a block to its statistics rows and [failed attempts, nonconverged refits].
+
+    Raises the ReplicateFailedError of the block's first dead stream.
+    """
+    for err in filter(None, dead):
+        raise err
+    return stats, np.array([failed.sum(), nonconverged.sum()])
+
+
+def _exceedances(observed, owners, stats, failed, nonconverged, dead) -> tuple:
+    """Reduce a block to one (flags, dead) pair, against observed[owner] in (m, kind) order.
+
+    flags holds per stream whether each replicate statistic is >= its
+    owner's observed one, then the stream's failed attempts and
+    nonconverged refit.
+    """
+    flags = np.column_stack((stats >= observed[owners], failed, nonconverged))
+    return [(flags, dead)], 0
 
 
 def replicate_rows(spec: ArmaSpec, n: int, m_list, kinds, p: int, q: int, known_spec,
                    fit_options, streams) -> tuple[np.ndarray, np.ndarray]:
     """Statistics of the replicates drawn from `spec` on `streams`, in stream order.
 
-    Scores blocks of streams with _score_block.  Returns (one statistics
-    row per stream, [failed attempts, nonconverged refits]); raises the
-    ReplicateFailedError of the first stream that failed every attempt.
+    Returns (one statistics row per stream, [failed attempts, nonconverged
+    refits]); raises the ReplicateFailedError of the first stream that
+    failed every attempt.
     """
-    score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
-    size = _block_size((spec,), n)
-    out = np.empty((len(streams), len(m_list) * len(kinds)))
-    failures = nonconverged = 0
-    for start in range(0, len(streams), size):
-        block = streams[start : start + size]
-        stats, failed, unconverged, dead = _score_block(score, (spec,), np.zeros(len(block), int),
-                                                        n, block)
-        for err in filter(None, dead):
-            raise err
-        out[start : start + len(block)] = stats
-        failures += int(failed.sum())
-        nonconverged += int(unconverged.sum())
-    return out, np.array([failures, nonconverged])
-
-
-def _exceedance_rows(specs, which, size: int, n: int, m_list, kinds, p: int, q: int,
-                     known_spec, fit_options, observed, items) -> tuple[list, int]:
-    """Score the replicates `items`, (owner, stream) pairs, against their owners' observed values.
-
-    Owner o's replicates are drawn from specs[which[o]], and observed[o]
-    holds its observed statistics in (m, kind) order.  Streams are taken in
-    full blocks of `size`, across owners, and each block is reduced as soon
-    as it is scored.  Returns one (flags, dead) pair per block, and 0:
-    flags holds per stream whether each replicate statistic is >= the
-    observed one, then the stream's failed attempts and nonconverged
-    refit; dead per stream the ReplicateFailedError of a stream that failed
-    every attempt, or None.
-    """
-    score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
-    blocks = []
-    items = iter(items)
-    while block := list(islice(items, size)):
-        owners = np.array([owner for owner, _ in block])
-        stats, failed, nonconverged, dead = _score_block(score, specs, which[owners], n,
-                                                         [stream for _, stream in block])
-        blocks.append((np.column_stack((stats >= observed[owners], failed, nonconverged)),
-                       dead))
-    return blocks, 0
+    rows, counts = _score_items((spec,), np.zeros(1, dtype=int), _block_size((spec,), n), n,
+                                m_list, kinds, p, q, known_spec, fit_options, _keep_rows,
+                                ((0, stream) for stream in streams))
+    return np.array(rows), counts
 
 
 def rejection_thresholds(N: int, levels) -> np.ndarray:
@@ -310,7 +315,7 @@ def wave_sizes(k, drawn, N: int, thresholds) -> np.ndarray:
 
 def _draw_waves(worker, parents, N: int, columns: int, thresholds, size: int,
                 threads: int) -> tuple:
-    """Run `worker` (_exceedance_rows) over the replicates of each parent, wave by wave.
+    """Run `worker` (_score_items with _exceedances) over each parent's replicates, wave by wave.
 
     Series i draws replicate j on RngStream(seed_i, j, parent_key=key_i), in
     key order.  Each wave takes every open series' next replicates: at
@@ -420,7 +425,7 @@ def mc_grid_rows(X, p: int, q: int, m_list, N: int, parents, kinds=("d_hat",),
     ValueError or ReplicateFailedError that mc_portmanteau_grid raises for
     that row alone.  The observed fits, ACFs and statistics of all rows run
     as one block (_observed_rows).  The replicates of all rows are pooled
-    into full phase-one blocks, each row's simulated from its own replicate
+    into full replicate blocks, each row's simulated from its own replicate
     spec, and each row's exceedance counts are accumulated block by block,
     so no rows x N statistics array is held.  `threads` spreads the
     replicates over map_chunks.
@@ -459,8 +464,8 @@ def mc_grid_rows(X, p: int, q: int, m_list, N: int, parents, kinds=("d_hat",),
     specs = list(index)
     observed = np.array([[v.statistic for v in results[i][2]] for i in scored])
     size = _block_size(specs, n)
-    worker = partial(_exceedance_rows, specs, which, size, n, m_list, kinds, p, q, known_spec,
-                     fit_options, observed)
+    worker = partial(_score_items, specs, which, size, n, m_list, kinds, p, q, known_spec,
+                     fit_options, partial(_exceedances, observed))
     counts, drawn, first_dead = _draw_waves(worker, [parents[i] for i in scored], N,
                                             observed.shape[1], thresholds, size, threads)
     for owner, i in enumerate(scored):
@@ -495,15 +500,13 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
                         base_stream: RngStream | None = None,
                         known_spec: ArmaSpec | None = None,
                         fit_options: FitOptions = FitOptions(),
-                        threads: int = 1, levels=()) -> McGridResult:
+                        threads: int = 1) -> McGridResult:
     """Monte-Carlo test over a grid of lag counts and statistic kinds.
 
     All cells share the same fitted model and the same N simulated/refitted
     replicates (paired design).  Replicate i draws from substream i of the
     master seed, or of `base_stream` when nesting inside an outer
-    simulation loop.  The one-series case of mc_grid_rows; with `levels`
-    the replicates are curtailed and only the decisions p <= level are
-    returned, in `rejects`.
+    simulation loop.  The one-series case of mc_grid_rows.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -511,7 +514,7 @@ def mc_portmanteau_grid(series, p: int, q: int, m_list, N: int,
     parent = (master_seed, ()) if base_stream is None else (base_stream.master_seed,
                                                             base_stream.key)
     (result,) = mc_grid_rows(x[None], p, q, m_list, N, (parent,), kinds, known_spec,
-                             fit_options, threads, levels)
+                             fit_options, threads)
     if isinstance(result, Exception):
         raise result
     return result
@@ -554,24 +557,3 @@ def mc_portmanteau_test(series, p: int, q: int, m: int, N: int,
                                threads=threads)
     return grid.cells[(m, statistic_kind)]
 
-
-def mc_test_batch(configs, parallelism: int = 1) -> list:
-    """Run many independent MC tests; each config is a kwargs dict.
-
-    Results arrive in config order; per-config errors are returned in place
-    (as the exception object) without aborting the batch.  Output is
-    independent of `parallelism` because every config carries its own
-    master seed.
-    """
-    results, _ = map_chunks(_test_rows, configs, parallelism)
-    return results
-
-
-def _test_rows(configs) -> tuple[list, int]:
-    results = []
-    for cfg in configs:
-        try:
-            results.append(mc_portmanteau_test(**cfg))
-        except Exception as err:  # noqa: BLE001 - aggregated per contract
-            results.append(err)
-    return results, 0

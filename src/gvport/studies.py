@@ -14,12 +14,13 @@ a QQ CSV for the convergence study):
   null, R outer simulations each running an inner N-replicate MC test.
   Each worker chunk of outer replicates is scored in one pass of
   ``mc.mc_grid_rows``: their series form one block, and their inner
-  replicates share phase-one blocks.  The inner test is used only through
+  replicates share replicate blocks.  The inner test is used only through
   its decisions p <= level at the configured levels, so each outer
   replicate draws its inner replicates in key order only until every
-  decision is fixed (curtailed sampling, see ``mc``).  An outer replicate
-  whose attempt-0 series or inner replicates fail is rerun alone through
-  ``redraw`` with the same curtailed one-row test.  The redraw and
+  decision is fixed (curtailed sampling, see ``mc``).  Outer series are
+  redrawn by the same rule as inner replicates (``mc.redraw_rows``): the
+  outer replicates whose series or inner replicates fail an attempt are
+  scored on their next attempt's series in one more pass.  The redraw and
   nonconverged-refit warnings, and the ``failures > N`` abort, count the
   inner replicates drawn up to each outer replicate's stop.  The rejection
   rates are those of all N replicates unless a replicate past an outer
@@ -68,14 +69,7 @@ from .generators import (
     simulate_fractional_noise,
     simulate_garch,
 )
-from .mc import (
-    ReplicateFailedError,
-    map_chunks,
-    mc_grid_rows,
-    mc_portmanteau_grid,
-    redraw,
-    replicate_rows,
-)
+from .mc import map_chunks, mc_grid_rows, redraw_rows, replicate_rows
 
 STUDY_KINDS = ("gamma_distortion", "convergence", "size", "power")
 QQ_PROBS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9, 0.95, 0.98, 0.99)
@@ -456,37 +450,39 @@ def _rejection_rows(spec, n: int, m_list, kinds, fit_p: int, fit_q: int, N: int,
                     want_chi2: bool, levels, roots) -> tuple[list, np.ndarray]:
     """Reject flags of the outer replicates `roots`, per (column, level).
 
-    Outer replicate `root` draws its series on root.substream(0) and its inner
-    replicates on root.substream(1..N), curtailed at `levels`.  The
-    attempt-0 series of all roots are scored in one pass of mc_grid_rows; a
-    root whose attempt-0 series or inner replicates fail there is rerun
-    alone by `redraw` from attempt 0 through the same curtailed one-row
-    grid.  Returns (rows, [redraws and failed replicates, nonconverged
-    replicate refits, inner replicates kept by the scored attempts]); a row holds the flags of
-    the MC columns in (m, kind) order, then of the chi-squared Ljung-Box
-    column per m when `want_chi2`.
+    Outer replicate `root` draws its series on root.substream(0) and, on
+    every attempt, its inner replicates on root.substream(1..N), curtailed
+    at `levels`.  redraw_rows scores attempt a of the series of every root
+    still failing in one pass of mc_grid_rows; a root fails an attempt
+    where its series or its inner replicates fail.  Raises the ReplicateFailedError of the
+    first root that fails every attempt.  Returns (rows, [redraws and
+    failed replicates, nonconverged replicate refits, inner replicates kept
+    by the scored attempts]); a row holds the flags of the MC columns in
+    (m, kind) order, then of the chi-squared Ljung-Box column per m when
+    `want_chi2`.
     """
     roots = list(roots)
-    simulate = partial(simulate_model, spec, n)
-    starts = [root.substream(0) for root in roots]
-    if isinstance(spec, ArmaSpec):
-        X = simulate_arma_rows(spec, n, starts)
-    else:
-        X = np.array([simulate(stream) for stream in starts])
     fit_options = FitOptions()
     parents = [(root.master_seed, root.key) for root in roots]
-    grids = mc_grid_rows(X, fit_p, fit_q, m_list, N, parents, kinds, known_spec, fit_options,
-                         levels=levels)
+
+    def simulate(rows, streams):  # the outer series, and the parents of their inner replicates
+        if isinstance(spec, ArmaSpec):
+            X = simulate_arma_rows(spec, n, streams)
+        else:
+            X = np.array([simulate_model(spec, n, stream) for stream in streams])
+        return X, [parents[i] for i in rows]
+
+    def score(candidates):
+        X, inner_parents = candidates
+        grids = mc_grid_rows(X, fit_p, fit_q, m_list, N, inner_parents, kinds, known_spec,
+                             fit_options, levels=levels)
+        return grids, np.array([not isinstance(grid, Exception) for grid in grids], dtype=bool)
+
+    (grids,), redrawn, dead = redraw_rows([root.substream(0) for root in roots], simulate, score)
+    for err in filter(None, dead):
+        raise err
     rows, counts = [], np.zeros(3, dtype=np.int64)
-    for root, grid in zip(roots, grids):
-        failed = 0
-        if isinstance(grid, Exception):
-            grid, failed = redraw(
-                root.substream(0), simulate,
-                partial(mc_portmanteau_grid, p=fit_p, q=fit_q, m_list=m_list, N=N, kinds=kinds,
-                        base_stream=root, known_spec=known_spec, fit_options=fit_options,
-                        levels=levels),
-                errors=(ValueError, ReplicateFailedError))
+    for grid, failed in zip(grids, redrawn.tolist()):
         row = [grid.rejects[(m, kind)] for m in m_list for kind in kinds]
         if want_chi2:
             p_values = [ljung_box(grid.observed_acf.prefix(m), fit_p + fit_q)[1] for m in m_list]

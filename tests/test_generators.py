@@ -96,6 +96,14 @@ class TestSimulateArma:
         assert arma_burn_in(ArmaSpec()) == 200
         assert arma_burn_in(ArmaSpec(ar=(0.99,))) > arma_burn_in(ArmaSpec(ar=(0.5,)))
 
+    @pytest.mark.parametrize("ma", [(), (0.4,)])
+    def test_all_zero_ar_part_burns_as_no_ar_part(self, ma):
+        # an all-zero AR part has no roots: it takes the p = 0 burn-in
+        zero, none = ArmaSpec(ar=(0.0,), ma=ma), ArmaSpec(ma=ma)
+        assert arma_burn_in(zero) == arma_burn_in(none) == 200
+        np.testing.assert_allclose(simulate_arma(zero, 50, RngStream(1, 0)),
+                                   simulate_arma(none, 50, RngStream(1, 0)), rtol=0, atol=1e-14)
+
     def test_matched_moments_vs_theory(self):
         from gvport.arma import theoretical_acvf
 

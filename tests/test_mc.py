@@ -19,12 +19,12 @@ from gvport.mc import (
     mc_grid_rows,
     mc_portmanteau_grid,
     mc_portmanteau_test,
-    mc_test_batch,
-    redraw,
+    redraw_rows,
     rejection_thresholds,
     replicate_rows,
     wave_sizes,
 )
+from reference import redraw
 
 
 def impulse_series(n=60):
@@ -154,68 +154,103 @@ class TestFailureHandling:
 
 
 class TestRedraw:
+    """redraw_rows scores attempt a of every row still failing as one batch."""
+
     @staticmethod
-    def keyed_simulate(keys):
-        def simulate(stream):
-            keys.append(stream.key)
-            return len(keys) - 1  # attempt number
-        return simulate
+    def rows_failing(fail_until, calls):
+        """simulate and score where row i fails its attempts below fail_until[i].
+
+        A candidate is (row, attempt), the attempt read off its stream's key;
+        `calls` records each batch's rows and stream keys.
+        """
+        def simulate(rows, streams):
+            calls.append((rows.tolist(), [stream.key for stream in streams]))
+            return [(i, 0 if len(s.key) == 2 else s.key[-1]) for i, s in zip(rows, streams)]
+
+        def score(candidates):
+            values = np.array([10 * i + a for i, a in candidates])
+            ok = np.array([a >= fail_until[i] for i, a in candidates])
+            return values, [f"row{i}:{a}" for i, a in candidates], ok
+        return simulate, score
+
+    @staticmethod
+    def streams(count):
+        return [RngStream(5, i, parent_key=(7,)) for i in range(count)]
 
     def test_stream_order_and_failure_count(self):
-        keys = []
+        calls = []
+        (values, labels), failed, dead = redraw_rows(
+            [RngStream(5, 2, parent_key=(7,))], *self.rows_failing([3], calls))
+        assert calls == [([0], [(7, 2)]), ([0], [(7, 2, 1)]), ([0], [(7, 2, 2)]),
+                         ([0], [(7, 2, 3)])]
+        assert values.tolist() == [3] and labels == ["row0:3"]
+        assert failed.tolist() == [3] and dead == [None]
 
-        def score(attempt):
-            if attempt < 3:
-                raise ValueError("synthetic failure")
-            return f"value{attempt}"
-
-        value, failed = redraw(RngStream(5, 2, parent_key=(7,)), self.keyed_simulate(keys), score)
-        assert (value, failed) == ("value3", 3)
-        assert keys == [(7, 2), (7, 2, 1), (7, 2, 2), (7, 2, 3)]
+    def test_several_rows_one_batch_per_attempt(self):
+        calls = []
+        fail_until = [0, 2, 1, 0, 3]
+        (values, labels), failed, dead = redraw_rows(self.streams(5),
+                                                     *self.rows_failing(fail_until, calls))
+        assert calls == [([0, 1, 2, 3, 4], [(7, i) for i in range(5)]),
+                         ([1, 2, 4], [(7, 1, 1), (7, 2, 1), (7, 4, 1)]),
+                         ([1, 4], [(7, 1, 2), (7, 4, 2)]),
+                         ([4], [(7, 4, 3)])]
+        assert values.tolist() == [10 * i + a for i, a in enumerate(fail_until)]
+        assert labels == [f"row{i}:{a}" for i, a in enumerate(fail_until)]
+        assert failed.tolist() == fail_until and dead == [None] * 5
 
     def test_first_draw_needs_no_redraw(self):
-        keys = []
-        assert redraw(RngStream(5, 0), self.keyed_simulate(keys), lambda a: a) == (0, 0)
-        assert keys == [(0,)]
+        calls = []
+        (values, _), failed, dead = redraw_rows(self.streams(3),
+                                                *self.rows_failing([0, 0, 0], calls))
+        assert calls == [([0, 1, 2], [(7, 0), (7, 1), (7, 2)])]
+        assert values.tolist() == [0, 10, 20]
+        assert failed.tolist() == [0, 0, 0] and dead == [None] * 3
 
     def test_raises_after_last_attempt(self):
-        keys = []
-
-        def score(attempt):
-            raise ValueError("always fails")
-
-        with pytest.raises(ReplicateFailedError, match=r"\(3, 1\)"):
-            redraw(RngStream(5, 1, parent_key=(3,)), self.keyed_simulate(keys), score)
-        assert keys == [(3, 1)] + [(3, 1, a) for a in range(1, REDRAW_ATTEMPTS)]
+        calls = []
+        fail_until = [0, REDRAW_ATTEMPTS, 1]
+        streams = [RngStream(5, 0, parent_key=(3,)), RngStream(5, 1, parent_key=(3,)),
+                   RngStream(5, 2, parent_key=(3,))]
+        (values, _), failed, dead = redraw_rows(streams, *self.rows_failing(fail_until, calls))
+        assert [keys for _, keys in calls] == (
+            [[(3, 0), (3, 1), (3, 2)], [(3, 1, 1), (3, 2, 1)]]
+            + [[(3, 1, a)] for a in range(2, REDRAW_ATTEMPTS)])
+        assert dead[0] is None and dead[2] is None
+        assert isinstance(dead[1], ReplicateFailedError)
+        assert str(dead[1]) == (f"replicate on stream (3, 1) of seed 5 failed {REDRAW_ATTEMPTS} "
+                                "times in a row")
+        assert values[[0, 2]].tolist() == [0, 21] and failed[[0, 2]].tolist() == [0, 1]
         assert issubclass(ReplicateFailedError, RuntimeError)
 
     def test_only_listed_errors_redraw(self):
-        def score(_):
-            raise ArithmeticError("not a redraw error")
+        # a row fails by its ok flag; a score that raises stops the run
+        calls = []
+        simulate, flagged = self.rows_failing([1, 0], calls)
+
+        def score(candidates):
+            if any(a == 1 for _, a in candidates):
+                raise ArithmeticError("not a redraw error")
+            return flagged(candidates)
 
         with pytest.raises(ArithmeticError):
-            redraw(RngStream(5, 0), lambda stream: 0, score)
-        value, failed = redraw(RngStream(5, 0), self.keyed_simulate([]),
-                               lambda a: 1 / 0 if a == 0 else a, errors=ZeroDivisionError)
-        assert (value, failed) == (1, 1)
-
-    def test_first_attempt_skips_earlier_streams(self):
-        keys = []
-        value, failed = redraw(RngStream(5, 2), self.keyed_simulate(keys),
-                               lambda a: a, first=1)
-        assert (value, failed) == (0, 1)
-        assert keys == [(2, 1)]
+            redraw_rows(self.streams(2), simulate, score)
+        assert [keys for _, keys in calls] == [[(7, 0), (7, 1)], [(7, 0, 1)]]
 
     def test_simulate_error_propagates_without_redraw(self):
-        calls = []
+        for attempt in (0, 1):
+            calls = []
+            simulate, score = self.rows_failing([1, 0], calls)
 
-        def simulate(stream):
-            calls.append(stream.key)
-            raise ValueError("simulation failure")
+            def failing(rows, streams):
+                if simulate(rows, streams)[0][1] == attempt:
+                    raise ValueError("simulation failure")
+                return simulate(rows, streams)
 
-        with pytest.raises(ValueError, match="simulation failure"):
-            redraw(RngStream(5, 0), simulate, lambda x: x)
-        assert calls == [(0,)]
+            with pytest.raises(ValueError, match="simulation failure"):
+                redraw_rows(self.streams(2), failing, score)
+            assert [keys for _, keys in calls][-1] == ([(7, 0), (7, 1)] if attempt == 0
+                                                       else [(7, 0, 1)])
 
 
 class TestOracleExactness:
@@ -233,33 +268,8 @@ class TestOracleExactness:
         assert abs(rejections / trials - 0.05) < 2.576 * np.sqrt(0.05 * 0.95 / trials)
 
 
-class TestBatch:
-    def test_empty(self):
-        assert mc_test_batch([]) == []
-
-    def test_order_and_error_aggregation(self):
-        x = simulate_arma(ArmaSpec(), 100, RngStream(10, 0))
-        configs = [
-            {"series": x, "p": 0, "q": 0, "m": 5, "N": 9, "master_seed": 1},
-            {"series": x, "p": 0, "q": 0, "m": 5, "N": 0, "master_seed": 2},  # bad
-            {"series": x, "p": 0, "q": 0, "m": 5, "N": 9, "master_seed": 3},
-        ]
-        out = mc_test_batch(configs)
-        assert out[0].master_seed == 1
-        assert isinstance(out[1], ValueError)
-        assert out[2].master_seed == 3
-
-    def test_parallelism_identical(self):
-        x = simulate_arma(ArmaSpec(), 100, RngStream(11, 0))
-        configs = [{"series": x, "p": 0, "q": 0, "m": 5, "N": 9, "master_seed": s}
-                   for s in range(6)]
-        a = mc_test_batch(configs, parallelism=1)
-        b = mc_test_batch(configs, parallelism=2)
-        assert a == b
-
-
 # ---------------------------------------------------------------------------
-# the replicate engine before phase-one blocks, kept as a reference
+# the replicate engine one replicate at a time, kept as a reference
 
 def reference_redraw_rows(simulate, score, streams) -> tuple[list, int]:
     """`redraw` on each stream in turn: (values, total failed attempts)."""

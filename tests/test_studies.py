@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -14,7 +15,7 @@ from gvport.arma import ArmaSpec
 from gvport.diagnostics import ljung_box, portmanteau_table, residual_acf
 from gvport.estimation import FitOptions, css_residuals, fit_arma
 from gvport.generators import RngStream
-from gvport.mc import ReplicateFailedError, mc_portmanteau_grid, redraw, replicate_rows
+from gvport.mc import ReplicateFailedError, mc_portmanteau_grid, replicate_rows
 from gvport.studies import (
     QQ_PROBS,
     StudyConfig,
@@ -27,6 +28,7 @@ from gvport.studies import (
     run_size_study,
     run_study,
 )
+from reference import redraw
 
 AR1_MODEL = {"type": "arma", "ar": [0.5], "id": "ar1"}
 
@@ -186,6 +188,10 @@ class TestSizeStudy:
         rep = run_size_study(tiny_config(oracle=True, R=40))
         assert 0.0 <= rep.rows[0]["estimate"] <= 0.25
 
+    def test_all_zero_ar_model_runs(self):
+        rep = run_size_study(tiny_config(models=[{"type": "arma", "ar": [0.0]}], R=4))
+        assert 0.0 <= rep.rows[0]["estimate"] <= 1.0
+
     def test_multiple_levels_and_m(self):
         rep = run_size_study(tiny_config(m=[4, 6], levels=[0.05, 0.1]))
         assert len(rep.rows) == 4
@@ -319,7 +325,10 @@ def curtailed_outer(root, p, q, m_list, kinds, N, known_spec, levels, x):
     score = partial(replicate_score, p, q, m_list, kinds, known_spec, fit_options)
     observed, acf, _ = score(x)
     spec = known_spec if known_spec is not None else fit_arma(x, p, q, fit_options).spec
-    simulate = partial(mc_module.simulate_arma, spec, len(x))  # the engine's, as patched
+
+    def simulate(stream):  # the engine's simulator, as patched
+        return mc_module.simulate_arma_rows(spec, len(x), [stream])[0]
+
     levels = np.array(levels)
     k = np.zeros(len(observed), dtype=int)
     failures = nonconverged = drawn = 0
@@ -402,10 +411,8 @@ class InjectedFailures:
             return ZeroGenerator() if stream.key == (1, 0) else real_generator(stream)
 
         monkeypatch.setattr(RngStream, "generator", generator)
-        real_rows = mc_module.simulate_arma_rows
-        monkeypatch.setattr(mc_module, "simulate_arma_rows", self.wrap(real_rows))
-        monkeypatch.setattr(mc_module, "simulate_arma",
-                            lambda spec, n, stream: self.wrap(real_rows)(spec, n, [stream])[0])
+        monkeypatch.setattr(mc_module, "simulate_arma_rows",
+                            self.wrap(mc_module.simulate_arma_rows))
 
     def doomed(self, key, spec) -> str | None:
         if len(key) == 2 and (7 * key[0] + key[1]) % 11 == 0:
@@ -488,6 +495,28 @@ class TestAgainstReferenceRunner:
             for threads in (1, 2):
                 rep = studies.run_study(cfg, threads=threads)
                 assert (rep.csv_text(), rep.warnings) == want, (size, threads)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_no_attempt_scored_twice(self, monkeypatch, name):
+        over = dict(self.CONFIGS[name])
+        cfg = tiny_config(**{"study": over.pop("study", "size"), "R": 8, "N": 19, **over})
+        InjectedFailures(monkeypatch, cfg, fitted=not cfg.oracle)
+        scored = Counter()  # (parent, series) -> times its inner test was run
+
+        def spying(real):
+            def spy(X, p, q, m_list, N, parents, *args, **kwargs):
+                scored.update((parent, x.tobytes()) for x, parent in zip(X, parents))
+                return real(X, p, q, m_list, N, parents, *args, **kwargs)
+            return spy
+
+        for module in (mc_module, studies):
+            monkeypatch.setattr(module, "mc_grid_rows", spying(module.mc_grid_rows))
+        # one model at a time: outer 1's zero series is the same under every model
+        for desc in cfg.models:
+            scored.clear()
+            studies.run_study(replace(cfg, models=(desc,)), threads=1)
+            assert set(scored.values()) == {1}
+            assert len(scored) > cfg.replications  # some outer series were redrawn
 
     def test_dead_stream_past_the_stop(self, monkeypatch):
         # the full-N test of outer 6 meets the dead stream and redraws the
