@@ -250,8 +250,11 @@ def cmd_asymptotic(args) -> int:
     if args.x is not None and args.quantile is not None:
         print("error: give either --x or --quantile, not both", file=sys.stderr)
         return EXIT_USAGE
-    if args.x is not None and not math.isfinite(args.x):
-        print(f"error: --x must be a finite number, got {args.x}", file=sys.stderr)
+    if args.x is not None and not (math.isfinite(args.x) and args.x >= 0):
+        print(f"error: --x must be a finite number >= 0, got {args.x}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.quantile is not None and not 0 < args.quantile < 1:
+        print(f"error: --quantile must lie in (0, 1), got {args.quantile}", file=sys.stderr)
         return EXIT_USAGE
     try:
         spec = ArmaSpec(ar=tuple(args.phi), ma=tuple(args.theta))

@@ -1,12 +1,15 @@
 """Residual autocorrelations and portmanteau statistics.
 
-Three statistics share the ResidualAcf input: the Ljung-Box statistic, the
-generalized-variance statistic n(1 - |R_m|^{1/m}) built on the determinant
-of the (m+1) x (m+1) residual autocorrelation matrix, and its small-sample
-variant built on inflated autocorrelations.  The determinant is computed by
-the Durbin-Levinson recursion, which detects loss of positive definiteness
-for free via the partial autocorrelations.  portmanteau_table computes the
-first three for every lag count m from one pass up to the largest m.
+Four statistics share the ResidualAcf input: the Ljung-Box and Box-Pierce
+statistics, the generalized-variance statistic n(1 - |R_m|^{1/m}) built on
+the determinant of the (m+1) x (m+1) residual autocorrelation matrix, and
+its small-sample variant built on inflated autocorrelations.  The
+determinant is computed by the Durbin-Levinson recursion, which detects
+loss of positive definiteness for free via the partial autocorrelations.
+portmanteau_rows holds the one formula of each statistic and computes every
+lag count m from one pass up to the largest m; the one-series functions
+(ljung_box, box_pierce, d_hat, and d_mod on its inflated autocorrelations)
+read their values from it.
 """
 from __future__ import annotations
 
@@ -128,18 +131,13 @@ def ljung_box(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
     The p-value uses m - fit_count degrees of freedom and requires
     m > fit_count; pass pvalue=False to get the statistic alone.
     """
-    n, m, r = acf.n, acf.m, acf.r
-    k = np.arange(1, m + 1)
-    q = n * (n + 2.0) * np.sum(r**2 / (n - k))
-    value = PortmanteauValue(statistic=float(q), kind="ljung_box", m=m, fit_count=fit_count)
+    value = portmanteau_statistic(acf, "ljung_box", fit_count)
     return value, _chi2_pvalue(value) if pvalue else None
 
 
 def box_pierce(acf: ResidualAcf, fit_count: int, pvalue: bool = True):
     """Box-Pierce statistic n sum r(k)^2 with the same chi-squared reference."""
-    n, m, r = acf.n, acf.m, acf.r
-    q = n * np.sum(r**2)
-    value = PortmanteauValue(statistic=float(q), kind="box_pierce", m=m, fit_count=fit_count)
+    value = portmanteau_statistic(acf, "box_pierce", fit_count)
     return value, _chi2_pvalue(value) if pvalue else None
 
 
@@ -214,42 +212,38 @@ def d_hat(acf: ResidualAcf, fit_count: int = 0) -> PortmanteauValue:
     The determinant is that of the (m+1)-dimensional residual
     autocorrelation matrix; the exponent is 1/m (not 1/(m+1)).
     """
-    stat = portmanteau_table(acf, (acf.m,), ("d_hat",))[0, 0]
-    return PortmanteauValue(statistic=float(stat), kind="d_hat", m=acf.m, fit_count=fit_count)
+    return portmanteau_statistic(acf, "d_hat", fit_count)
 
 
 def d_mod(acf: ResidualAcf, fit_count: int = 0):
     """Small-sample variant with inflated correlations; may be undefined.
 
-    Each r(k) is replaced by sign-preserving sqrt((n+2)/(n-k)) * r(k); the
-    inflated sequence need not be a valid autocorrelation function, in which
-    case a NotPositiveDefinite marker (first offending lag) is returned
-    instead of a statistic.
+    Each r(k) is replaced by sign-preserving sqrt((n+2)/(n-k)) * r(k) and
+    the inflated sequence scored as d_hat is; it need not be a valid
+    autocorrelation function, in which case a NotPositiveDefinite marker
+    (first offending lag) is returned instead of a statistic.
     """
     n, m = acf.n, acf.m
     k = np.arange(1, m + 1)
-    inflate = np.sqrt((n + 2.0) / (n - k))
-    r_dd = acf.r * inflate
+    r_dd = acf.r * np.sqrt((n + 2.0) / (n - k))
     over = np.nonzero(np.abs(r_dd) >= 1.0)[0]
     if over.size:
         return NotPositiveDefinite(lag=int(over[0] + 1))
-    try:
-        det, _ = toeplitz_corr_det(ResidualAcf(r_dd, n, m))
-    except NotPositiveDefiniteError as err:
-        return NotPositiveDefinite(lag=err.lag)
-    stat = n - n * det ** (1.0 / m)
-    return PortmanteauValue(statistic=max(float(stat), 0.0), kind="d_mod", m=m, fit_count=fit_count)
+    values, lag = portmanteau_rows(r_dd[None], n, (m,), ("d_hat",))
+    if lag[0]:
+        return NotPositiveDefinite(lag=int(lag[0]))
+    return PortmanteauValue(statistic=float(values[0, 0, 0]), kind="d_mod", m=m,
+                            fit_count=fit_count)
 
 
 def portmanteau_statistic(acf: ResidualAcf, kind: str, fit_count: int = 0) -> PortmanteauValue:
-    """Dispatch by statistic kind; d_mod is excluded (it can be undefined)."""
-    if kind == "d_hat":
-        return d_hat(acf, fit_count)
-    if kind == "ljung_box":
-        return ljung_box(acf, fit_count, pvalue=False)[0]
-    if kind == "box_pierce":
-        return box_pierce(acf, fit_count, pvalue=False)[0]
-    raise ValueError(f"unsupported statistic kind {kind!r}")
+    """One statistic ("d_hat", "ljung_box" or "box_pierce") of one residual ACF.
+
+    Read from portmanteau_table at m = acf.m; d_mod is excluded (it can be
+    undefined).
+    """
+    stat = portmanteau_table(acf, (acf.m,), (kind,))[0, 0]
+    return PortmanteauValue(statistic=float(stat), kind=kind, m=acf.m, fit_count=fit_count)
 
 
 def portmanteau_rows(R, n: int, m_list, kinds) -> tuple[np.ndarray, np.ndarray]:

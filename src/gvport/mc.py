@@ -14,30 +14,33 @@ row draws on its stream and attempt a on stream.substream(a), and attempt
 a of every row still failing is scored as one batch.  `map_chunks` is the
 one place replicates are spread over worker processes.
 
+One pass, `_score_rows`, turns a block of series into statistics, for
+observed series and replicates alike: one batched refit (or one residual
+filter for a known spec), one autocorrelation pass and one
+`portmanteau_rows` pass.  A row fails where the one-series path would
+raise ValueError: an inadmissible or impossible fit, zero residuals, an
+autocorrelation outside [-1, 1], or a partial outside (-1, 1); a failed
+replicate is redrawn, and a failed observed series gets that error.
 Replicates are scored in blocks (`_score_items`) of at most BLOCK_ROWS
 consecutive streams (fewer when a block would hold more than BLOCK_VALUES
-simulated values).  Each attempt of a block runs as arrays: one
-simulation, one batched refit (or one residual filter for a known spec),
-one autocorrelation pass and one Durbin-Levinson pass.  A row fails where
-the one-series path would raise ValueError: an inadmissible or impossible
-fit, zero residuals, an autocorrelation outside [-1, 1], or a partial
-outside (-1, 1).  Every kernel computes a row from that row alone, with
-the same operations in the same order for any number of rows, so a row's
-statistics are bit-identical whether it is scored alone, in a short block
-or in a full one: results do not depend on block boundaries, on which
-rows share an attempt, or on the number of workers.
+simulated values), one simulation and one `_score_rows` pass per attempt.
+Every kernel computes a row from that row alone, with the same operations
+in the same order for any number of rows, so a row's statistics are
+bit-identical whether it is scored alone, in a short block or in a full
+one: results do not depend on block boundaries, on which rows share an
+attempt, or on the number of workers.
 
 `mc_grid_rows` runs many MC tests at once, one per row of a block of
 observed series (a study's outer replicates), and `mc_portmanteau_grid` is
-its one-series case.  The observed fits, ACFs and statistics of all rows
-form one block.  The replicates of all series are pooled, so a block spans
-series boundaries and stays full: each row is simulated from its own
-series' replicate spec (one simulation per distinct spec in a block) and
-the refits, ACFs and statistics of the block run as one.  Each series'
-exceedance counts are accumulated block by block.  A series whose test
-would raise gets that error in place of its result.  `replicate_rows`
-keeps every statistics row, for the convergence study; both run the same
-block loop and differ only in how a block is reduced.
+its one-series case.  The observed series of all rows form one
+`_score_rows` block.  The replicates of all series are pooled, so a block
+spans series boundaries and stays full: each row is simulated from its
+own series' replicate spec (one simulation per distinct spec in a block)
+and the block is scored as one.  Each series' exceedance counts are
+accumulated block by block.  A series whose test would raise gets that
+error in place of its result.  `replicate_rows` keeps every statistics
+row, for the convergence study; both run the same block loop and differ
+only in how a block is reduced.
 
 Given significance levels, `mc_grid_rows` returns only the decisions
 p <= level, and curtails each series' replicates (Besag & Clifford 1991):
@@ -64,7 +67,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -189,21 +192,29 @@ def map_chunks(worker, items, threads: int) -> tuple[list, int]:
 def _score_rows(m_list, kinds, p: int, q: int, known_spec, fit_options, X):
     """Every (m, kind) statistic of each row of X, refitted (or filtered with `known_spec`).
 
-    Returns (statistics, nonconverged, ok): one statistics row per row of X
-    in (m, kind) order, whether its refit ended unconverged, and whether the
-    row could be scored at all.
+    Returns (fits, R, statistics, ok): the RowFits (with `known_spec`, the
+    residual rows), the lag 1..max(m) ACF rows, one statistics row per row
+    in (m, kind) order, and which rows the one-series path scores without
+    a ValueError.
     """
     if known_spec is None:
         fits = fit_arma_rows(X, p, q, fit_options)
-        resid, nonconverged = fits.residuals, ~fits.converged
+        resid = fits.residuals
         ok = np.array([err is None for err in fits.errors], dtype=bool)
     else:
-        resid = css_residual_rows(X, known_spec)
-        nonconverged, ok = np.zeros(len(X), dtype=bool), np.ones(len(X), dtype=bool)
+        fits = resid = css_residual_rows(X, known_spec)
+        ok = np.ones(len(X), dtype=bool)
     R, denom = acf_rows(resid, max(m_list))
     values, lag = portmanteau_rows(R, X.shape[1], m_list, kinds)
     ok &= acf_rows_valid(R, denom) & (lag == 0)
-    return values.reshape(len(X), -1), nonconverged, ok
+    return fits, R, values.reshape(len(X), -1), ok
+
+
+def _replicate_scores(m_list, kinds, p: int, q: int, known_spec, fit_options, X):
+    """_score_rows reduced for redraw_rows: (statistics, nonconverged refit, ok) per row."""
+    fits, _, stats, ok = _score_rows(m_list, kinds, p, q, known_spec, fit_options, X)
+    nonconverged = np.zeros(len(X), dtype=bool) if known_spec is not None else ~fits.converged
+    return stats, nonconverged, ok
 
 
 def _block_size(specs, n: int) -> int:
@@ -234,7 +245,7 @@ def _score_items(specs, which, size: int, n: int, m_list, kinds, p: int, q: int,
     dead error (see redraw_rows).  Returns the blocks' rows joined and
     their counts summed: a map_chunks worker.
     """
-    score = partial(_score_rows, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
+    score = partial(_replicate_scores, tuple(m_list), tuple(kinds), p, q, known_spec, fit_options)
     rows, counts = [], 0
     items = iter(items)
     while block := list(islice(items, size)):
@@ -367,46 +378,31 @@ def _observed_rows(X, p: int, q: int, m_list, kinds, known_spec, fit_options) ->
     """Observed fit, residual ACF and (m, kind) statistics of every row of X.
 
     Entry i is (FittedModel, ResidualAcf, [PortmanteauValue per (m, kind)])
-    or the ValueError the one-series path raises for row i.  One fit over
-    the rows (or one residual filter for a known spec), one ACF pass and
-    one statistics pass serve every row; a row that fails the batched
-    checks reruns the one-row functions, which raise its exact error.
+    or the ValueError the one-series path raises for row i.  The rows are
+    scored by _score_rows, as replicates are; a row it cannot score gets
+    its fit error, or reruns the one-row functions, which raise its exact
+    error.
     """
-    rows, n = X.shape
-    M = max(m_list)
-    if known_spec is None:
-        fits = fit_arma_rows(X, p, q, fit_options)
-        resid = fits.residuals
-        models = []
-        for i in range(rows):
-            try:
-                models.append(fits.model(i))
-            except ValueError as err:
-                models.append(err)
-    else:
-        try:
-            resid = css_residual_rows(X, known_spec)
-        except ValueError as err:
-            return [err] * rows
-        models = [FittedModel(spec=known_spec, residuals=r, css=float(np.dot(r, r)),
-                              converged=True, iterations=0, n=n) for r in resid]
-    R, denom = acf_rows(resid, M)
-    values, lag = portmanteau_rows(R, n, m_list, kinds)
-    good = acf_rows_valid(R, denom) & (lag == 0)
+    n, M = X.shape[1], max(m_list)
+    try:
+        fits, R, stats, ok = _score_rows(m_list, kinds, p, q, known_spec, fit_options, X)
+    except ValueError as err:
+        return [err] * len(X)
     out = []
-    for i, model in enumerate(models):
-        if isinstance(model, Exception):
-            out.append(model)
-            continue
+    for i, row in enumerate(stats.tolist()):
         try:
-            if good[i]:
-                acf, table = ResidualAcf(R[i], n, M), values[i]
+            if known_spec is None:
+                model = fits.model(i)
             else:
-                acf = residual_acf(model.residuals, M)
-                table = portmanteau_table(acf, m_list, kinds)
-            observed = [PortmanteauValue(statistic=float(table[a, b]), kind=kind, m=m,
-                                         fit_count=p + q)
-                        for a, m in enumerate(m_list) for b, kind in enumerate(kinds)]
+                resid = fits[i]
+                model = FittedModel(spec=known_spec, residuals=resid,
+                                    css=float(np.dot(resid, resid)), converged=True,
+                                    iterations=0, n=n)
+            if not ok[i]:  # the one-row functions raise this row's exact error
+                portmanteau_table(residual_acf(model.residuals, M), m_list, kinds)
+            acf = ResidualAcf(R[i], n, M)
+            observed = [PortmanteauValue(statistic=v, kind=kind, m=m, fit_count=p + q)
+                        for v, (m, kind) in zip(row, product(m_list, kinds))]
         except ValueError as err:
             out.append(err)
             continue
@@ -423,12 +419,12 @@ def mc_grid_rows(X, p: int, q: int, m_list, N: int, parents, kinds=("d_hat",),
     Row i draws replicate j on RngStream(seed_i, j, parent_key=key_i), with
     (seed_i, key_i) = parents[i].  Returns per row its McGridResult, or the
     ValueError or ReplicateFailedError that mc_portmanteau_grid raises for
-    that row alone.  The observed fits, ACFs and statistics of all rows run
-    as one block (_observed_rows).  The replicates of all rows are pooled
-    into full replicate blocks, each row's simulated from its own replicate
-    spec, and each row's exceedance counts are accumulated block by block,
-    so no rows x N statistics array is held.  `threads` spreads the
-    replicates over map_chunks.
+    that row alone.  The observed series of all rows are scored as one
+    block, by the pass that scores replicates (_observed_rows).  The
+    replicates of all rows are pooled into full replicate blocks, each
+    row's simulated from its own replicate spec, and each row's exceedance
+    counts are accumulated block by block, so no rows x N statistics array
+    is held.  `threads` spreads the replicates over map_chunks.
 
     With `levels`, each row stops drawing at the first replicate where all
     its decisions p <= level are fixed, and its result holds those

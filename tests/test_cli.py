@@ -124,6 +124,15 @@ class TestCmdAsymptotic:
         assert captured.out == ""
         assert "--x must be a finite number" in captured.err
 
+    @pytest.mark.parametrize("arg", ["--x=-1", "--quantile=1.5", "--quantile=0", "--quantile=1",
+                                     "--quantile=nan"])
+    def test_out_of_range_input_is_usage_error(self, arg, capsys):
+        rc = main(["asymptotic", "--p", "1", "--phi", "0.5", "--m", "5", arg, "--json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "must" in captured.err
+
 
 class TestCmdTest:
     def test_white_noise_json_output(self, white_noise_file, capsys):
@@ -171,6 +180,17 @@ class TestCmdTest:
         row_m1 = payload["results"][0]
         assert "error" in row_m1["ljung_box"]
         assert "p_value" in row_m1["mc"]
+
+    def test_ljung_box_is_the_mc_statistic(self, tmp_path, capsys):
+        # the reported Ljung-Box statistic and the observed MC one are one value
+        x = simulate_arma(ArmaSpec(ar=(0.7,), ma=(-0.3,)), 200, RngStream(5))
+        path = tmp_path / "arma.txt"
+        write_series(str(path), x)
+        rc = main(["test", "--file", str(path), "--p", "1", "--q", "1", "--N", "19",
+                   "--stat", "lb", "--json", "--threads", "1"])
+        assert rc == 0
+        for row in json.loads(capsys.readouterr().out)["results"]:
+            assert row["ljung_box"]["statistic"] == row["mc"]["statistic"], row["m"]
 
     def test_missing_file_is_data_error(self, capsys):
         rc = main(["test", "--file", "/nonexistent/series.txt"])

@@ -180,6 +180,13 @@ class TestDmod:
         assert got.statistic == pytest.approx(100 * rdd2, rel=1e-12)
         assert got.statistic == pytest.approx(4.12121, abs=1e-5)
 
+    def test_small_statistic_keeps_full_precision(self):
+        # n r_dd^2 with r_dd^2 = r^2 (n+2)/(n-1) at m = 1; n - n det^{1/m}
+        # would lose about half the digits to cancellation here
+        n, r = 25, 1e-4
+        got = d_mod(ResidualAcf(np.array([r]), n, 1))
+        assert got.statistic == pytest.approx(n * r**2 * (n + 2) / (n - 1), rel=1e-13, abs=0.0)
+
     def test_not_positive_definite_case(self):
         r = np.zeros(10)
         r[9] = 0.9  # inflation factor (n+2)/(n-k) = 14/2 = 7 at k=10
@@ -243,11 +250,11 @@ class TestPortmanteauTable:
             assert table.shape == (50, 3)
             for row, m in enumerate(m_list):
                 sub = acf.prefix(m)
-                want = (n * (1.0 - dense_det_oracle(sub.r) ** (1.0 / m)),
-                        ljung_box(sub, 0, pvalue=False)[0].statistic,
-                        box_pierce(sub, 0, pvalue=False)[0].statistic)
-                np.testing.assert_allclose(table[row], want, rtol=1e-12, atol=0.0)
+                want = n * (1.0 - dense_det_oracle(sub.r) ** (1.0 / m))
+                assert table[row, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert d_hat(sub).statistic == table[row, 0]
+                assert ljung_box(sub, 0, pvalue=False)[0].statistic == table[row, 1]
+                assert box_pierce(sub, 0, pvalue=False)[0].statistic == table[row, 2]
 
     def test_row_and_column_order_follow_inputs(self):
         acf = residual_acf(np.random.default_rng(8).standard_normal(100), 12)

@@ -442,6 +442,22 @@ class TestGridRows:
             scored += grid.failed_replicates > 0
         assert failed >= 1 and scored >= 3
 
+    @pytest.mark.parametrize("known", [None, ArmaSpec(ar=(0.5,))])
+    def test_unscorable_rows_raise_the_one_row_errors(self, known):
+        # a zero row: constant (nothing to fit), or zero residuals under the
+        # known spec; its error is what the public one-row functions raise
+        X = simulate_arma_rows(ArmaSpec(ar=(0.5,)), 80, [RngStream(35, i) for i in range(3)])
+        X[1] = 0.0
+        grids = mc_grid_rows(X, 1, 0, (5, 9), 9, [(35, (i,)) for i in range(3)],
+                             ("d_hat", "ljung_box"), known_spec=known)
+        with pytest.raises(ValueError) as want:
+            if known is None:
+                fit_arma(X[1], 1, 0)
+            else:
+                residual_acf(css_residuals(X[1], known), 9)
+        assert type(grids[1]) is type(want.value) and str(grids[1]) == str(want.value)
+        assert not any(isinstance(grids[i], Exception) for i in (0, 2))
+
     def test_ties_count_as_exceedances(self):
         # the observed series is replicate 4's draw, so replicate 4 ties it exactly
         spec, seed = ArmaSpec(ar=(0.5,)), 32
